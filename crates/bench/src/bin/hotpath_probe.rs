@@ -1,8 +1,5 @@
 //! Hot-path benchmark probe: times GRIMP `fit_impute` on a 250-row Mammogram
-//! instance with the optimized training hot path vs the legacy
-//! pre-optimization path (reference GEMM kernels, fresh allocation per
-//! ephemeral tensor, per-epoch feature clone) and writes `BENCH_hotpath.json`
-//! in the working directory.
+//! instance and writes `BENCH_hotpath.json` in the working directory.
 //!
 //! Also measures the observability layer: the default (`NullSink`) path must
 //! stay within 2% of the previously recorded fast time — instrumentation is
@@ -10,7 +7,7 @@
 //! timed and cross-checked against `TrainReport::from_events`.
 //!
 //! Fully deterministic: fixed dataset seed, fixed corruption seed, fixed
-//! model seed, early stopping disabled so both modes run the same epochs.
+//! model seed, early stopping disabled so every mode runs the same epochs.
 //!
 //! ```bash
 //! cargo run --release -p grimp-bench --bin hotpath_probe
@@ -83,7 +80,7 @@ fn large_synthetic(rows: usize) -> Table {
     t
 }
 
-fn probe_config(legacy: bool) -> GrimpConfig {
+fn probe_config() -> GrimpConfig {
     GrimpConfig {
         features: FeatureSource::FastText,
         feature_dim: 32,
@@ -96,10 +93,9 @@ fn probe_config(legacy: bool) -> GrimpConfig {
         embed_dim: 32,
         task_kind: TaskKind::Attention,
         max_epochs: EPOCHS,
-        patience: EPOCHS, // never early-stop: both modes run identical epochs
+        patience: EPOCHS, // never early-stop: every mode runs identical epochs
         lr: 2e-2,
         seed: 7,
-        legacy_hot_path: legacy,
         ..GrimpConfig::paper()
     }
 }
@@ -146,7 +142,7 @@ fn mode_result(report: &TrainReport) -> ModeResult {
 /// (never requested) shutdown flag. Measures what governed *checks* cost
 /// on the hot path when no limit is hit — the common production case.
 fn governed_config() -> GrimpConfig {
-    let mut cfg = probe_config(false);
+    let mut cfg = probe_config();
     cfg.deadline_secs = Some(1e9);
     cfg.memory_budget_mb = Some(1 << 20);
     cfg.shutdown = Some(ShutdownFlag::new());
@@ -204,25 +200,11 @@ fn assert_backend_parity(dirty: &Table, label: &str, serial: GrimpConfig, parall
     assert_eq!(s.2, p.2, "{label}: imputed cells diverged across backends");
 }
 
-fn run_mode(dirty: &Table, legacy: bool) -> ModeResult {
-    let mut best: Option<ModeResult> = None;
-    for _ in 0..REPS {
-        let mut model = Grimp::new(probe_config(legacy));
-        let _ = model.fit_impute(dirty);
-        let report = model.last_report().expect("fit_impute sets a report");
-        let result = mode_result(report);
-        if best.as_ref().is_none_or(|b| result.seconds < b.seconds) {
-            best = Some(result);
-        }
-    }
-    best.expect("at least one rep")
-}
-
 /// Best-of-REPS fully traced run (every event recorded in a `MemorySink`),
 /// cross-checked against the event-stream replay. Returns the mode result
 /// plus the event count of one run.
 fn run_traced(dirty: &Table) -> (ModeResult, usize) {
-    let pipeline = Pipeline::new(probe_config(false)).expect("probe config is valid");
+    let pipeline = Pipeline::new(probe_config()).expect("probe config is valid");
     let mut best: Option<ModeResult> = None;
     let mut events = 0usize;
     for _ in 0..REPS {
@@ -328,7 +310,7 @@ fn main() {
     let instance = corrupt(&capped, RATE, 1);
 
     let baseline_fast_seconds = previous_fast_seconds();
-    let mut fast = run_mode(&instance.dirty, false);
+    let mut fast = run_config(&instance.dirty, &probe_config());
     // The overhead budget compares against a baseline recorded by a
     // previous process, so transient machine load shows up as phantom
     // overhead. Best-of-REPS noise runs ±3% on a busy box; when the first
@@ -339,13 +321,12 @@ fn main() {
             if fast.seconds - b < overhead_budget(b, fast.epochs_run) {
                 break;
             }
-            let retry = run_mode(&instance.dirty, false);
+            let retry = run_config(&instance.dirty, &probe_config());
             if retry.seconds < fast.seconds {
                 fast = retry;
             }
         }
     }
-    let legacy = run_mode(&instance.dirty, true);
     let (traced, trace_events) = run_traced(&instance.dirty);
     // Governed mode (deadline + budget + shutdown flag armed, never firing)
     // is compared against the fast run measured in this same process, with
@@ -362,20 +343,20 @@ fn main() {
     }
     // Parallel kernel backend: timed on Mammogram-250 and on the larger
     // synthetic table, with bit-identity to serial asserted on both.
-    let mut par_cfg = probe_config(false);
+    let mut par_cfg = probe_config();
     par_cfg.backend = BackendKind::Parallel { threads };
     let parallel = run_config(&instance.dirty, &par_cfg);
     assert_backend_parity(
         &instance.dirty,
         "mammogram-250",
-        probe_config(false),
+        probe_config(),
         par_cfg.clone(),
     );
 
     let mut large_dirty = large_synthetic(LARGE_ROWS);
     inject_mcar(&mut large_dirty, RATE, &mut StdRng::seed_from_u64(2));
     let large_config = |backend: BackendKind| {
-        let mut cfg = probe_config(false);
+        let mut cfg = probe_config();
         cfg.max_epochs = LARGE_EPOCHS;
         cfg.patience = LARGE_EPOCHS;
         cfg.backend = backend;
@@ -394,7 +375,6 @@ fn main() {
         large_config(BackendKind::Parallel { threads }),
     );
 
-    let speedup = legacy.seconds / fast.seconds;
     let parallel_speedup = large_serial.seconds / large_parallel.seconds;
     let null_sink_overhead = baseline_fast_seconds.map(|b| (fast.seconds - b) / b);
     let trace_overhead = (traced.seconds - fast.seconds) / fast.seconds;
@@ -410,8 +390,6 @@ fn main() {
          \"lr\": 0.02, \"seed\": 7}},\n"
     );
     mode_json(&mut json, "fast", &fast);
-    json.push_str(",\n");
-    mode_json(&mut json, "legacy", &legacy);
     json.push_str(",\n");
     mode_json(&mut json, "traced", &traced);
     json.push_str(",\n");
@@ -452,22 +430,13 @@ fn main() {
             json.push_str(",\n  \"null_sink_overhead\": null");
         }
     }
-    let _ = write!(json, ",\n  \"speedup\": {speedup:.3}\n}}\n");
+    json.push_str("\n}\n");
     fs::write("BENCH_hotpath.json", &json).expect("write BENCH_hotpath.json");
 
     println!(
         "fast   : {:.3}s (fwd {:.3} bwd {:.3} opt {:.3}), allocs after epoch 1: {}",
         fast.seconds, fast.forward_s, fast.backward_s, fast.optim_s, fast.allocs_after_epoch1
     );
-    println!(
-        "legacy : {:.3}s (fwd {:.3} bwd {:.3} opt {:.3}), allocs after epoch 1: {}",
-        legacy.seconds,
-        legacy.forward_s,
-        legacy.backward_s,
-        legacy.optim_s,
-        legacy.allocs_after_epoch1
-    );
-    println!("speedup: {speedup:.2}x over {} epochs", fast.epochs_run);
     println!(
         "traced : {:.3}s with {} events recorded ({:+.1}% vs null sink)",
         traced.seconds,

@@ -242,15 +242,9 @@ pub struct GrimpConfig {
     pub finetune: FinetuneConfig,
     /// Seed for every stochastic component.
     pub seed: u64,
-    /// Run the pre-optimization training hot path (reference GEMM kernels,
-    /// fresh allocation per ephemeral tensor, per-epoch feature clone).
-    /// Only useful as a benchmarking baseline; results are numerically
-    /// equivalent.
-    pub legacy_hot_path: bool,
     /// Kernel execution backend for the training hot path. The parallel
     /// backend is bit-identical to the serial one for any thread count, so
-    /// this only changes wall-clock time. Ignored by the legacy hot path,
-    /// which always runs the reference kernels.
+    /// this only changes wall-clock time.
     pub backend: BackendKind,
     /// Global gradient-norm clip threshold. When the L2 norm over all
     /// parameter gradients exceeds it, every gradient is scaled by
@@ -339,7 +333,6 @@ impl GrimpConfig {
             sampler: None,
             finetune: FinetuneConfig::default(),
             seed: 0,
-            legacy_hot_path: false,
             backend: BackendKind::Serial,
             max_grad_norm: Some(1e4),
             max_recoveries: 2,
@@ -612,8 +605,7 @@ impl std::error::Error for ConfigError {}
 ///
 /// Governance and persistence options are set through grouped
 /// sub-configs — [`SamplerConfig`], [`ResourceLimits`],
-/// [`CheckpointPolicy`] — rather than one flat setter per field. The old
-/// flat setters remain as deprecated delegating shims.
+/// [`CheckpointPolicy`] — rather than one flat setter per field.
 ///
 /// ```
 /// use grimp::{GrimpConfig, ResourceLimits, SamplerConfig};
@@ -762,12 +754,6 @@ impl GrimpConfigBuilder {
         self
     }
 
-    /// Run the pre-optimization (benchmark-baseline) training hot path.
-    pub fn legacy_hot_path(mut self, legacy: bool) -> Self {
-        self.config.legacy_hot_path = legacy;
-        self
-    }
-
     /// Kernel execution backend for the training hot path (bit-identical
     /// across backends; only wall-clock time changes).
     pub fn backend(mut self, backend: BackendKind) -> Self {
@@ -778,49 +764,6 @@ impl GrimpConfigBuilder {
     /// Global gradient-norm clip threshold (`None` disables clipping).
     pub fn max_grad_norm(mut self, max: Option<f32>) -> Self {
         self.config.max_grad_norm = max;
-        self
-    }
-
-    /// Divergence-recovery budget.
-    #[deprecated(note = "use .checkpointing(CheckpointPolicy { max_recoveries, .. })")]
-    pub fn max_recoveries(mut self, budget: usize) -> Self {
-        self.config.max_recoveries = budget;
-        self
-    }
-
-    /// Disk-checkpoint cadence in completed epochs.
-    #[deprecated(note = "use .checkpointing(CheckpointPolicy { every, .. })")]
-    pub fn checkpoint_every(mut self, every: usize) -> Self {
-        self.config.checkpoint_every = every;
-        self
-    }
-
-    /// Directory for the training checkpoint file.
-    #[deprecated(note = "use .checkpointing(CheckpointPolicy { dir, .. })")]
-    pub fn checkpoint_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.config.checkpoint_dir = Some(dir.into());
-        self
-    }
-
-    /// Resume from an existing checkpoint in the checkpoint dir.
-    #[deprecated(note = "use .checkpointing(CheckpointPolicy { resume, .. })")]
-    pub fn resume(mut self, resume: bool) -> Self {
-        self.config.resume = resume;
-        self
-    }
-
-    /// Wall-clock training budget in seconds (`None` disables it).
-    #[deprecated(note = "use .limits(ResourceLimits { deadline_secs, .. })")]
-    pub fn deadline_secs(mut self, deadline: Option<f64>) -> Self {
-        self.config.deadline_secs = deadline;
-        self
-    }
-
-    /// Memory budget in MiB for admission-time downscaling (`None`
-    /// disables it).
-    #[deprecated(note = "use .limits(ResourceLimits { memory_budget_mb, .. })")]
-    pub fn memory_budget_mb(mut self, budget: Option<usize>) -> Self {
-        self.config.memory_budget_mb = budget;
         self
     }
 
@@ -1118,36 +1061,6 @@ mod tests {
                 every: 3,
                 resume: false,
                 max_recoveries: 5,
-            }
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_flat_setters_still_delegate() {
-        let c = GrimpConfig::builder()
-            .checkpoint_dir("/tmp/shim")
-            .resume(true)
-            .checkpoint_every(2)
-            .max_recoveries(4)
-            .deadline_secs(Some(9.0))
-            .memory_budget_mb(Some(64))
-            .build()
-            .unwrap();
-        assert_eq!(
-            c.checkpointing(),
-            CheckpointPolicy {
-                dir: Some("/tmp/shim".into()),
-                every: 2,
-                resume: true,
-                max_recoveries: 4,
-            }
-        );
-        assert_eq!(
-            c.limits(),
-            ResourceLimits {
-                deadline_secs: Some(9.0),
-                memory_budget_mb: Some(64),
             }
         );
     }

@@ -14,20 +14,24 @@
 //! vocabularies (in a real deployment this is an agreed codebook — values,
 //! not records), and the shard split is round-robin. Optimizer state stays
 //! local; only weights are communicated.
+//!
+//! Each party is a GRIMP model built by the shared build stage (on the
+//! federation's normalization statistics and column tiers) and trained by
+//! the shared train stage: the coordinator runs every party's trainer for
+//! `local_epochs` epochs, averages the weights, and repeats. Each party then
+//! imputes its shard through the same per-column decode as
+//! [`crate::FittedModel`].
 
-use std::rc::Rc;
+use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use grimp_obs::Trace;
+use grimp_table::{FdSet, Table, Value};
+use grimp_tensor::Tensor;
 
-use grimp_gnn::HeteroSage;
-use grimp_graph::{build_features, TableGraph};
-use grimp_table::{ColumnKind, Corpus, FdSet, Normalizer, Table, Value};
-use grimp_tensor::{Adam, Mlp, Tape, Tensor, Var};
-
-use crate::config::{CategoricalLoss, GrimpConfig};
-use crate::tasks::Task;
-use crate::vectors::VectorBatch;
+use crate::config::GrimpConfig;
+use crate::engine::{Admitted, Trainer};
+use crate::model::{build, Built};
+use crate::report::ColumnTier;
 
 /// Federation options.
 #[derive(Clone, Debug)]
@@ -65,24 +69,13 @@ pub struct FederatedReport {
     pub params_per_round: usize,
 }
 
-/// One party's local state: shard data, graph, model, optimizer.
+/// One party's local state: its rows, its shard, its model and trainer.
 struct Party {
     /// Original row indices of this shard.
     rows: Vec<usize>,
     shard: Table,
-    graph: TableGraph,
-    feature_tensor: Tensor,
-    tape: Tape,
-    gnn: HeteroSage,
-    merge: Mlp,
-    tasks: Vec<Task>,
-    adam: Adam,
-    batches: Vec<Option<(VectorBatch, Labels)>>,
-}
-
-enum Labels {
-    Cat(Rc<Vec<u32>>),
-    Num(Rc<Vec<f32>>),
+    built: Built,
+    trainer: Trainer,
 }
 
 /// The federated GRIMP coordinator.
@@ -90,20 +83,6 @@ pub struct FederatedGrimp {
     config: FederatedConfig,
     fds: FdSet,
     last_report: Option<FederatedReport>,
-}
-
-/// Clone a table's schema and dictionaries without any rows, so shard
-/// tables share categorical codes with the source.
-fn empty_with_dictionaries(source: &Table) -> Table {
-    let mut out = Table::empty(source.schema().clone());
-    for j in 0..source.n_columns() {
-        if source.schema().column(j).kind == ColumnKind::Categorical {
-            for value in source.dictionary(j) {
-                out.intern(j, value);
-            }
-        }
-    }
-    out
 }
 
 impl FederatedGrimp {
@@ -125,148 +104,112 @@ impl FederatedGrimp {
     /// Split, train federated, impute shards, reassemble.
     pub fn fit_impute(&mut self, dirty: &Table) -> Table {
         let cfg = &self.config;
-        let base = &cfg.base;
-
-        // Global normalization statistics (in deployment: securely
-        // aggregated moments — scalar statistics, not records).
-        let normalizer = Normalizer::fit(dirty);
-        let mut norm = dirty.clone();
-        normalizer.apply(&mut norm);
+        let start = Instant::now();
+        let mut trace = Trace::disabled();
+        // Every party trains in memory on all of its shard's samples; the
+        // rounds, not an epoch budget or early stopping, govern training.
+        let party_cfg = GrimpConfig {
+            validation_fraction: 0.0,
+            max_train_samples_per_task: None,
+            sampler: None,
+            patience: usize::MAX,
+            checkpoint_dir: None,
+            resume: false,
+            ..cfg.base.clone()
+        };
 
         // Round-robin shard split.
         let mut parties: Vec<Party> = Vec::with_capacity(cfg.parties);
         for p in 0..cfg.parties {
-            let rows: Vec<usize> = (p..norm.n_rows()).step_by(cfg.parties).collect();
-            let mut shard = empty_with_dictionaries(&norm);
+            let rows: Vec<usize> = (p..dirty.n_rows()).step_by(cfg.parties).collect();
+            // An empty copy keeps the federation's dictionaries whole.
+            let mut shard = dirty.head(0);
             for &i in &rows {
-                let row: Vec<Value> = (0..norm.n_columns()).map(|j| norm.get(i, j)).collect();
+                let row: Vec<Value> = (0..dirty.n_columns()).map(|j| dirty.get(i, j)).collect();
                 shard.push_value_row(&row);
             }
-            // identical seeds → identical initial weights on every party
-            let mut rng = StdRng::seed_from_u64(base.seed);
-            let corpus = Corpus::build(&shard, 0.0, &mut rng);
-            let graph = TableGraph::build(&shard, base.graph, &[]);
-            let features = build_features(
-                &graph,
-                &shard,
-                base.features,
-                base.feature_dim,
-                &base.embdi,
-                &mut rng,
-            );
-            let feature_tensor = Tensor::from_vec(
-                graph.n_nodes(),
-                base.feature_dim,
-                features.node_matrix.clone(),
-            );
-            let mut tape = Tape::new();
-            let gnn = HeteroSage::new(&mut tape, &graph, base.feature_dim, base.gnn, &mut rng);
-            let merge = Mlp::new(
-                &mut tape,
-                &[base.gnn.hidden, base.merge_hidden, base.embed_dim],
-                &mut rng,
-            );
-            let n_cols = shard.n_columns();
-            let tasks: Vec<Task> = (0..n_cols)
-                .map(|j| {
-                    let out_dim = match shard.schema().column(j).kind {
-                        // shared vocabulary: dictionary of the *global* table
-                        ColumnKind::Categorical => shard.dictionary(j).len().max(1),
-                        ColumnKind::Numerical => 1,
-                    };
-                    Task::new(
-                        &mut tape,
-                        base.task_kind,
-                        n_cols,
-                        base.embed_dim,
-                        base.merge_hidden,
-                        out_dim,
-                        j,
-                        base.k_strategy,
-                        &self.fds,
-                        None,
-                        &mut rng,
-                    )
-                })
-                .collect();
-            tape.freeze();
-            let batches = (0..n_cols)
-                .map(|j| {
-                    let samples = &corpus.train[j];
-                    if samples.is_empty() {
-                        return None;
-                    }
-                    let positions: Vec<(usize, usize)> =
-                        samples.iter().map(|s| (s.row, s.target_col)).collect();
-                    let batch = VectorBatch::build(&graph, &shard, &positions, base.embed_dim);
-                    let labels = match shard.schema().column(j).kind {
-                        ColumnKind::Categorical => Labels::Cat(Rc::new(
-                            samples
-                                .iter()
-                                .map(|s| s.label.as_cat().expect("cat"))
-                                .collect(),
-                        )),
-                        ColumnKind::Numerical => Labels::Num(Rc::new(
-                            samples
-                                .iter()
-                                .map(|s| s.label.as_num().expect("num") as f32)
-                                .collect(),
-                        )),
-                    };
-                    Some((batch, labels))
-                })
-                .collect();
+            let admitted = Admitted {
+                cfg: party_cfg.clone(),
+                downscales: Vec::new(),
+            };
+            let mut built = build(admitted, &self.fds, &shard, None, Some(dirty), &mut trace);
+            let report = std::mem::take(&mut built.report);
+            let rng = built.net.enc.rng.state();
+            let trainer = Trainer::new(&party_cfg, &mut built.tape, rng, report, start, &mut trace)
+                .expect("invariant: no checkpoint directory, so no lock to be held");
             parties.push(Party {
                 rows,
                 shard,
-                graph,
-                feature_tensor,
-                tape,
-                gnn,
-                merge,
-                tasks,
-                adam: Adam::new(base.lr),
-                batches,
+                built,
+                trainer,
             });
         }
-
-        let n_params = parties[0].tape.param_count();
-        for party in &parties {
-            assert_eq!(
-                party.tape.param_count(),
-                n_params,
-                "parties must have identical parameter layouts"
-            );
-        }
+        let n_weights = parties[0].trainer.report.n_weights;
+        assert!(
+            parties
+                .iter()
+                .all(|p| p.trainer.report.n_weights == n_weights),
+            "parties must have identical parameter layouts"
+        );
 
         // FedAvg rounds.
         let mut report = FederatedReport {
-            params_per_round: parties[0].tape.total_param_elems(),
+            params_per_round: n_weights,
             ..Default::default()
         };
         for _round in 0..cfg.rounds {
             let mut round_loss = 0.0f32;
             for party in &mut parties {
-                for _ in 0..cfg.local_epochs {
-                    round_loss += party.local_epoch(base) / cfg.local_epochs as f32;
+                let done = party.trainer.report.epochs.len();
+                party.built.cfg.max_epochs = party.trainer.state.epoch + cfg.local_epochs;
+                let trainable = party.built.net.tiers.contains(&ColumnTier::Gnn);
+                let built = &mut party.built;
+                party.trainer.run(
+                    &built.cfg,
+                    &mut built.tape,
+                    &mut built.net,
+                    trainable,
+                    start,
+                    &mut trace,
+                );
+                for epoch in &party.trainer.report.epochs[done..] {
+                    round_loss += epoch.train_loss / cfg.local_epochs as f32;
                 }
             }
-            average_parameters(&mut parties, n_params);
+            average_parameters(&mut parties);
             report.rounds_run += 1;
             report.round_losses.push(round_loss / cfg.parties as f32);
         }
 
-        // Local imputation of each shard, merged back by original row ids.
+        // Local imputation of each shard from the averaged weights (not a
+        // party's best local epoch), merged back by original row ids.
         let mut result = dirty.clone();
-        for party in &mut parties {
-            let imputed_shard = party.impute_shard(base, &normalizer);
-            for (local, &global) in party.rows.iter().enumerate() {
+        for party in parties {
+            let Party {
+                rows,
+                shard,
+                built,
+                trainer,
+            } = party;
+            let mut fitted = built.into_fitted(shard.clone(), None, trainer.report);
+            let imputed = fitted
+                .impute(&shard)
+                .expect("invariant: a party's own shard imputes transductively");
+            for (local, &global) in rows.iter().enumerate() {
                 for j in 0..result.n_columns() {
-                    if result.is_missing(global, j) {
-                        let v = imputed_shard.get(local, j);
-                        if !v.is_null() {
-                            result.set(global, j, v);
+                    if !result.is_missing(global, j) {
+                        continue;
+                    }
+                    let v = match imputed.get(local, j) {
+                        // Shards share the federation's dictionaries; a
+                        // label the shard added (the constant rung) joins.
+                        Value::Cat(code) => {
+                            Value::Cat(result.intern(j, &imputed.dictionary(j)[code as usize]))
                         }
+                        v => v,
+                    };
+                    if !v.is_null() {
+                        result.set(global, j, v);
                     }
                 }
             }
@@ -276,101 +219,25 @@ impl FederatedGrimp {
     }
 }
 
-impl Party {
-    /// One local epoch; returns the summed task loss.
-    fn local_epoch(&mut self, base: &GrimpConfig) -> f32 {
-        let x = self.tape.input(self.feature_tensor.clone());
-        let h0 = self.gnn.forward(&mut self.tape, x);
-        let h = self.merge.forward(&mut self.tape, h0);
-        let mut losses = Vec::new();
-        for (task, entry) in self.tasks.iter().zip(&self.batches) {
-            let Some((batch, labels)) = entry else {
-                continue;
-            };
-            let out = task.forward(&mut self.tape, h, batch);
-            let loss = match labels {
-                Labels::Cat(t) => match base.categorical_loss {
-                    CategoricalLoss::CrossEntropy => {
-                        self.tape.softmax_cross_entropy(out, Rc::clone(t))
-                    }
-                    CategoricalLoss::Focal(g) => self.tape.focal_loss(out, Rc::clone(t), g),
-                },
-                Labels::Num(t) => self.tape.mse_loss(out, Rc::clone(t)),
-            };
-            losses.push(loss);
-        }
-        if losses.is_empty() {
-            self.tape.reset();
-            return 0.0;
-        }
-        let total = self.tape.add_n(&losses);
-        let value = self.tape.value(total).item();
-        self.tape.backward(total);
-        self.adam.step(&mut self.tape);
-        self.tape.reset();
-        value
-    }
-
-    /// Impute this shard's missing cells with the current (synced) model.
-    fn impute_shard(&mut self, base: &GrimpConfig, normalizer: &Normalizer) -> Table {
-        let mut result = self.shard.clone();
-        let x = self.tape.input(self.feature_tensor.clone());
-        let h0 = self.gnn.forward(&mut self.tape, x);
-        let h = self.merge.forward(&mut self.tape, h0);
-        for j in 0..self.shard.n_columns() {
-            let missing: Vec<(usize, usize)> = (0..self.shard.n_rows())
-                .filter(|&i| self.shard.is_missing(i, j))
-                .map(|i| (i, j))
-                .collect();
-            if missing.is_empty() {
-                continue;
+/// FedAvg: elementwise mean of every trainable parameter across parties,
+/// broadcast back to every party.
+fn average_parameters(parties: &mut [Party]) {
+    let snapshots: Vec<Vec<Tensor>> = parties
+        .iter()
+        .map(|p| p.built.tape.snapshot_param_values())
+        .collect();
+    let mean: Vec<Tensor> = (0..snapshots[0].len())
+        .map(|i| {
+            let (rows, cols) = snapshots[0][i].shape();
+            let mut mean = Tensor::zeros(rows, cols);
+            for snapshot in &snapshots {
+                mean.add_scaled(&snapshot[i], 1.0 / parties.len() as f32);
             }
-            let batch = VectorBatch::build(&self.graph, &self.shard, &missing, base.embed_dim);
-            let out = self.tasks[j].forward(&mut self.tape, h, &batch);
-            let out_t = self.tape.value(out).clone();
-            match self.shard.schema().column(j).kind {
-                ColumnKind::Categorical => {
-                    if self.shard.dictionary(j).is_empty() {
-                        continue;
-                    }
-                    for (s, &(i, _)) in missing.iter().enumerate() {
-                        let best = out_t
-                            .row_slice(s)
-                            .iter()
-                            .enumerate()
-                            .max_by(|a, b| a.1.total_cmp(b.1))
-                            .map(|(k, _)| k as u32)
-                            .expect("non-empty logits");
-                        result.set(i, j, Value::Cat(best));
-                    }
-                }
-                ColumnKind::Numerical => {
-                    for (s, &(i, _)) in missing.iter().enumerate() {
-                        // de-normalize: z in normalized space → raw
-                        let z = f64::from(out_t.get(s, 0));
-                        result.set(i, j, Value::Num(normalizer.inverse(j, z)));
-                    }
-                }
-            }
-        }
-        self.tape.reset();
-        result
-    }
-}
-
-/// FedAvg: elementwise mean of every parameter across parties, broadcast
-/// back to every party.
-fn average_parameters(parties: &mut [Party], n_params: usize) {
-    for p in 0..n_params {
-        let var = Var::from_index(p);
-        let (rows, cols) = parties[0].tape.value(var).shape();
-        let mut mean = Tensor::zeros(rows, cols);
-        for party in parties.iter() {
-            mean.add_scaled(party.tape.value(var), 1.0 / parties.len() as f32);
-        }
-        for party in parties.iter_mut() {
-            *party.tape.value_mut(var) = mean.clone();
-        }
+            mean
+        })
+        .collect();
+    for party in parties.iter_mut() {
+        party.built.tape.restore_param_values(&mean);
     }
 }
 
@@ -378,6 +245,8 @@ fn average_parameters(parties: &mut [Party], n_params: usize) {
 mod tests {
     use super::*;
     use grimp_table::{check_imputation_contract, inject_mcar, ColumnKind, Schema};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn functional_table(n: usize) -> Table {
         let schema = Schema::from_pairs(&[
@@ -456,21 +325,22 @@ mod tests {
     }
 
     #[test]
+    fn dictionaries_are_shared_across_shards() {
+        // Shards start as `head(0)` of the federation's table.
+        let clean = functional_table(30);
+        let shard = clean.head(0);
+        for j in 0..clean.n_columns() {
+            assert_eq!(shard.dictionary(j), clean.dictionary(j));
+        }
+        assert_eq!(shard.n_rows(), 0);
+    }
+
+    #[test]
     #[should_panic(expected = "at least two parties")]
     fn single_party_is_rejected() {
         FederatedGrimp::new(FederatedConfig {
             parties: 1,
             ..fed_config()
         });
-    }
-
-    #[test]
-    fn dictionaries_are_shared_across_shards() {
-        let clean = functional_table(30);
-        let shard = empty_with_dictionaries(&clean);
-        for j in 0..clean.n_columns() {
-            assert_eq!(shard.dictionary(j), clean.dictionary(j));
-        }
-        assert_eq!(shard.n_rows(), 0);
     }
 }

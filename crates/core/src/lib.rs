@@ -36,12 +36,12 @@
 
 pub mod checkpoint;
 pub mod config;
+mod engine;
 pub mod error;
 pub mod fault;
 pub mod federated;
 pub mod governor;
 pub mod incremental;
-pub mod inductive;
 pub mod mc;
 pub mod model;
 pub mod params;
@@ -60,6 +60,7 @@ pub use config::{
     CategoricalLoss, CheckpointPolicy, ConfigError, GrimpConfig, GrimpConfigBuilder, KStrategy,
     ResourceLimits, SamplerConfig, TaskKind,
 };
+pub use engine::TrainState;
 pub use error::{ErrorCategory, GrimpError};
 pub use fault::TrainAnomaly;
 #[cfg(any(test, feature = "fault-injection"))]
@@ -71,9 +72,8 @@ pub use governor::{
 };
 pub use grimp_tensor::BackendKind;
 pub use incremental::{table_to_wal_rows, AppendOutcome, AppendPath};
-pub use inductive::TrainedGrimp;
 pub use mc::{GlobalDomain, GnnMc};
-pub use model::{FittedModel, Grimp, TrainState};
+pub use model::{FittedModel, Grimp};
 pub use params::{ParamCounts, ParamFormula};
 pub use pipeline::Pipeline;
 pub use report::{ColumnTier, DownscaleDecision, DownscaleRung, EpochStats, TrainReport};

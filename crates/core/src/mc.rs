@@ -6,19 +6,23 @@
 //! Every value of every attribute (numericals via their rounded keys) is one
 //! global class. At imputation time the argmax is restricted to the target
 //! attribute's slice, mirroring GRIMP's `Dom(A_i)` restriction.
+//!
+//! The ablation shares GRIMP's engine: `build_encoder` builds the same
+//! normalized table, corpus, graph, features and shared layer with the
+//! global classifier as its head, and the train stage runs the epoch loop
+//! over a loss hook that scores the flat sample batch.
 
 use std::rc::Rc;
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use grimp_gnn::HeteroSage;
-use grimp_graph::{build_features, TableGraph};
-use grimp_table::{ColumnKind, Corpus, Imputer, Normalizer, Table, Value};
-use grimp_tensor::{Adam, Mlp, Tape, Tensor};
+use grimp_graph::TableGraph;
+use grimp_obs::Trace;
+use grimp_table::{ColumnKind, Imputer, Normalizer, Table, Value};
+use grimp_tensor::{Mlp, Tape, Var};
 
 use crate::config::GrimpConfig;
+use crate::engine::{self, build_encoder, Encoder, Objective};
+use crate::fault::TrainAnomaly;
 use crate::report::TrainReport;
 use crate::vectors::VectorBatch;
 
@@ -102,54 +106,48 @@ impl GnnMc {
     /// Train self-supervised and impute all missing values.
     pub fn fit_impute(&mut self, dirty: &Table) -> Table {
         let start = Instant::now();
-        let cfg = &self.config;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-
-        let normalizer = Normalizer::fit(dirty);
-        let mut norm = dirty.clone();
-        normalizer.apply(&mut norm);
-
-        let corpus = Corpus::build(&norm, cfg.validation_fraction, &mut rng);
-        let excluded: Vec<(usize, usize)> = corpus
-            .validation_flat()
-            .map(|s| (s.row, s.target_col))
-            .collect();
-        let graph = TableGraph::build(&norm, cfg.graph, &excluded);
-        let domain = GlobalDomain::build(&graph);
-        let features = build_features(
-            &graph,
-            &norm,
-            cfg.features,
-            cfg.feature_dim,
-            &cfg.embdi,
-            &mut rng,
+        // The ablation trains in memory: no checkpoint directory to lock,
+        // resume from or write.
+        let cfg = GrimpConfig {
+            checkpoint_dir: None,
+            resume: false,
+            ..self.config.clone()
+        };
+        let mut trace = Trace::disabled();
+        let (enc, mut tape, (domain, classifier)) = build_encoder(
+            &cfg,
+            Normalizer::fit(dirty),
+            dirty,
+            |_| {},
+            None,
+            &mut trace,
+            |tape, norm, graph, _, rng| {
+                let domain = GlobalDomain::build(graph);
+                let classifier = Mlp::new(
+                    tape,
+                    &[
+                        norm.n_columns() * cfg.embed_dim,
+                        cfg.merge_hidden,
+                        domain.n_classes().max(1),
+                    ],
+                    rng,
+                );
+                (domain, classifier)
+            },
         );
-        let feature_tensor = Tensor::from_vec(
-            graph.n_nodes(),
-            cfg.feature_dim,
-            features.node_matrix.clone(),
-        );
-
+        let Encoder {
+            normalizer,
+            norm,
+            corpus,
+            graph,
+            gnn,
+            merge,
+            x,
+            n_weights,
+            rng,
+            ..
+        } = enc;
         let n_cols = norm.n_columns();
-        let mut tape = Tape::new();
-        let gnn = HeteroSage::new(&mut tape, &graph, cfg.feature_dim, cfg.gnn, &mut rng);
-        let merge = Mlp::new(
-            &mut tape,
-            &[cfg.gnn.hidden, cfg.merge_hidden, cfg.embed_dim],
-            &mut rng,
-        );
-        let classifier = Mlp::new(
-            &mut tape,
-            &[
-                n_cols * cfg.embed_dim,
-                cfg.merge_hidden,
-                domain.n_classes().max(1),
-            ],
-            &mut rng,
-        );
-        tape.freeze();
-        let n_weights = tape.total_param_elems();
-        let mut adam = Adam::new(cfg.lr);
 
         // One flat sample list; labels in the global class space.
         let collect = |buckets: &[Vec<grimp_table::TrainingSample>]| {
@@ -180,66 +178,43 @@ impl GnnMc {
             train_labels.truncate(cap);
         }
         let (val_pos, val_labels) = collect(&corpus.validation);
-        let train_batch = VectorBatch::build(&graph, &norm, &train_pos, cfg.embed_dim);
-        let val_batch = VectorBatch::build(&graph, &norm, &val_pos, cfg.embed_dim);
-        let train_labels = Rc::new(train_labels);
-        let val_labels = Rc::new(val_labels);
-
-        let mut report = TrainReport {
+        let mut objective = McObjective {
+            gnn: &gnn,
+            merge: &merge,
+            classifier: &classifier,
+            x,
+            train: VectorBatch::build(&graph, &norm, &train_pos, cfg.embed_dim),
+            train_labels: Rc::new(train_labels),
+            val: VectorBatch::build(&graph, &norm, &val_pos, cfg.embed_dim),
+            val_labels: Rc::new(val_labels),
+        };
+        let trainable = !objective.train.is_empty() && domain.n_classes() > 0;
+        let report = TrainReport {
             n_weights,
             ..Default::default()
         };
-        let mut best_val = f32::INFINITY;
-        let mut since_best = 0usize;
-        if !train_batch.is_empty() && domain.n_classes() > 0 {
-            for _epoch in 0..cfg.max_epochs {
-                let x = tape.input(feature_tensor.clone());
-                let h0 = gnn.forward(&mut tape, x);
-                let h = merge.forward(&mut tape, h0);
+        let trainer = engine::train(
+            &cfg,
+            &mut tape,
+            rng.state(),
+            report,
+            &mut objective,
+            trainable,
+            start,
+            &mut trace,
+        )
+        .expect("invariant: no checkpoint directory, so no lock to be held");
 
-                let logits = mc_forward(&mut tape, &classifier, h, &train_batch);
-                let loss = tape.softmax_cross_entropy(logits, Rc::clone(&train_labels));
-                let train_total = tape.value(loss).item();
-                let val_total = if val_batch.is_empty() {
-                    train_total
-                } else {
-                    let vl = mc_forward(&mut tape, &classifier, h, &val_batch);
-                    let v = tape.softmax_cross_entropy(vl, Rc::clone(&val_labels));
-                    tape.value(v).item()
-                };
-                tape.backward(loss);
-                adam.step(&mut tape);
-                tape.reset();
-
-                report.push_epoch(crate::report::EpochStats {
-                    epoch: report.epochs.len(),
-                    train_loss: train_total,
-                    val_loss: val_total,
-                    ..Default::default()
-                });
-                if val_total + 1e-5 < best_val {
-                    best_val = val_total;
-                    since_best = 0;
-                } else {
-                    since_best += 1;
-                    if since_best >= cfg.patience {
-                        report.early_stopped = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        // Imputation: argmax restricted to the target column's class slice.
+        // Imputation from the last epoch's weights: argmax restricted to
+        // the target column's class slice.
         let mut result = dirty.clone();
         let missing = norm.missing_cells();
         if !missing.is_empty() && domain.n_classes() > 0 {
-            let x = tape.input(feature_tensor.clone());
             let h0 = gnn.forward(&mut tape, x);
             let h = merge.forward(&mut tape, h0);
             let batch = VectorBatch::build(&graph, &norm, &missing, cfg.embed_dim);
             let out = mc_forward(&mut tape, &classifier, h, &batch);
-            let out_t = tape.value(out).clone();
+            let out_t = tape.value(out);
             for (s, &(i, j)) in missing.iter().enumerate() {
                 let (lo, hi) = domain.column_range(j);
                 if lo == hi {
@@ -263,18 +238,51 @@ impl GnnMc {
             }
             tape.reset();
         }
+        let mut report = trainer.report;
         report.seconds = start.elapsed().as_secs_f64();
         self.last_report = Some(report);
         result
     }
 }
 
-fn mc_forward(
-    tape: &mut Tape,
-    classifier: &Mlp,
-    h: grimp_tensor::Var,
-    batch: &VectorBatch,
-) -> grimp_tensor::Var {
+/// GNN-MC's objective: the shared layer, then one cross-entropy over the
+/// flat training batch; the validation loss (the training loss when there
+/// is no validation sample) drives early stopping.
+struct McObjective<'a> {
+    gnn: &'a grimp_gnn::HeteroSage,
+    merge: &'a Mlp,
+    classifier: &'a Mlp,
+    x: Var,
+    train: VectorBatch,
+    train_labels: Rc<Vec<u32>>,
+    val: VectorBatch,
+    val_labels: Rc<Vec<u32>>,
+}
+
+impl Objective for McObjective<'_> {
+    fn losses(
+        &mut self,
+        tape: &mut Tape,
+        _epoch: usize,
+        _trace: &mut Trace<'_>,
+        _anomalies: &mut Vec<TrainAnomaly>,
+        losses: &mut Vec<Var>,
+    ) -> f32 {
+        let h0 = self.gnn.forward(tape, self.x);
+        let h = self.merge.forward(tape, h0);
+        let logits = mc_forward(tape, self.classifier, h, &self.train);
+        let loss = tape.softmax_cross_entropy(logits, Rc::clone(&self.train_labels));
+        losses.push(loss);
+        if self.val.is_empty() {
+            return tape.value(loss).item();
+        }
+        let logits = mc_forward(tape, self.classifier, h, &self.val);
+        let val = tape.softmax_cross_entropy(logits, Rc::clone(&self.val_labels));
+        tape.value(val).item()
+    }
+}
+
+fn mc_forward(tape: &mut Tape, classifier: &Mlp, h: Var, batch: &VectorBatch) -> Var {
     let v = tape.gather_rows(h, Rc::clone(&batch.idx));
     let mask = tape.input(batch.mask.clone());
     let v = tape.mul_elem(v, mask);
@@ -297,6 +305,8 @@ mod tests {
     use super::*;
     use grimp_graph::{FeatureSource, GraphConfig};
     use grimp_table::{check_imputation_contract, inject_mcar, ColumnKind, Schema};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn config() -> GrimpConfig {
         GrimpConfig {

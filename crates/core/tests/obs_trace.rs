@@ -159,6 +159,54 @@ fn the_trace_covers_every_pipeline_phase() {
 }
 
 #[test]
+fn each_fit_stage_runs_once_directly_inside_the_fit_span() {
+    let dirty = dirty_table(60, 5);
+    let (_, events) = traced_run(&dirty);
+    // Rebuild the span tree: every span's parent is the innermost open one.
+    let mut open: Vec<&str> = Vec::new();
+    let mut parent_of: Vec<(&str, Option<&str>)> = Vec::new();
+    for e in &events {
+        match e.kind {
+            EventKind::SpanEnter => {
+                parent_of.push((e.name, open.last().copied()));
+                open.push(e.name);
+            }
+            EventKind::SpanExit => {
+                open.pop();
+            }
+            _ => {}
+        }
+    }
+    assert!(open.is_empty(), "unclosed spans: {open:?}");
+    let stages = [names::ADMIT, names::BUILD, names::TRAIN, names::FINALIZE];
+    let seen: Vec<&str> = parent_of
+        .iter()
+        .filter(|(name, _)| stages.contains(name))
+        .map(|(name, parent)| {
+            assert_eq!(*parent, Some(names::FIT), "{name} must nest in fit");
+            *name
+        })
+        .collect();
+    assert_eq!(seen, stages, "each stage once, in order");
+    // The existing phases sit inside their stage.
+    let parent = |name: &str| {
+        parent_of
+            .iter()
+            .find(|(n, _)| *n == name)
+            .and_then(|(_, p)| *p)
+    };
+    assert_eq!(parent(names::MODEL_BUILD), Some(names::BUILD));
+    assert_eq!(parent(names::BATCH_BUILD), Some(names::BUILD));
+    assert_eq!(parent(names::EPOCH), Some(names::TRAIN));
+    let last_save = parent_of
+        .iter()
+        .rev()
+        .find(|(n, _)| *n == names::CHECKPOINT_SAVE)
+        .and_then(|(_, p)| *p);
+    assert_eq!(last_save, Some(names::FINALIZE), "the final checkpoint");
+}
+
+#[test]
 fn jsonl_trace_round_trips_through_the_hand_rolled_parser() {
     let dirty = dirty_table(50, 4);
     let path = std::env::temp_dir().join("grimp-obs-trace-test.jsonl");

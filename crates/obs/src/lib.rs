@@ -259,6 +259,15 @@ impl<'a> Trace<'a> {
 pub mod names {
     /// Whole training phase (graph + features + epochs), excludes imputation.
     pub const FIT: &str = "fit";
+    /// Fit stage 1 (inside [`FIT`]): the admission-time memory governor.
+    pub const ADMIT: &str = "admit";
+    /// Fit stage 2: normalization, column tiers, corpus, graph, features,
+    /// tape, heads and batches.
+    pub const BUILD: &str = "build";
+    /// Fit stage 3: checkpoint lock and resume, then the epoch loop.
+    pub const TRAIN: &str = "train";
+    /// Fit stage 4: drift check, tier demotions, final checkpoint.
+    pub const FINALIZE: &str = "finalize";
     /// Table-to-graph construction ([`SpanExit` value][crate::EventKind] in seconds).
     pub const GRAPH_BUILD: &str = "graph_build";
     /// Number of graph nodes (counter, emitted after the build span).
@@ -435,6 +444,10 @@ pub mod names {
     /// into [`crate::Event`]s (whose names are `&'static str`).
     pub const ALL: &[&str] = &[
         FIT,
+        ADMIT,
+        BUILD,
+        TRAIN,
+        FINALIZE,
         GRAPH_BUILD,
         GRAPH_NODES,
         GRAPH_EDGES,

@@ -1,19 +1,35 @@
 //! Proof that tracing through a `NullSink` is allocation-free: a hot
 //! loop exercising every trace primitive (spans, counters, metrics)
 //! against a disabled sink must perform zero heap allocations.
+//!
+//! Allocations are counted per thread, so only the test's own thread is
+//! measured — never the test harness or a sibling test running alongside.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use grimp_obs::{names, MemorySink, NullSink, Trace};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations made by the current thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: the allocator also runs while a thread tears down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Heap allocations made by the current thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -22,7 +38,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -60,9 +76,9 @@ fn null_sink_tracing_performs_zero_heap_allocations() {
     // Warm up once so any lazy runtime setup is excluded.
     std::hint::black_box(trace_heavy_loop(&mut trace, 10));
 
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     let out = trace_heavy_loop(&mut trace, 1000);
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     std::hint::black_box(out);
 
     assert_eq!(
@@ -74,13 +90,13 @@ fn null_sink_tracing_performs_zero_heap_allocations() {
 
 #[test]
 fn disabled_trace_constructor_performs_zero_heap_allocations() {
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for _ in 0..100 {
         let mut sink = NullSink;
         let mut trace = Trace::new(&mut sink);
         std::hint::black_box(trace_heavy_loop(&mut trace, 1));
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -93,12 +109,12 @@ fn memory_sink_does_allocate_which_validates_the_counter() {
     // Sanity check that the counting allocator actually observes the
     // allocations an enabled sink performs.
     let mut sink = MemorySink::new();
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     {
         let mut trace = Trace::new(&mut sink);
         std::hint::black_box(trace_heavy_loop(&mut trace, 100));
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     assert!(after > before, "MemorySink growth should be counted");
     assert!(!sink.is_empty());
 }

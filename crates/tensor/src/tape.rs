@@ -142,9 +142,6 @@ pub struct Tape {
     ws: Workspace,
     /// Recycled `Vec<Var>` backing stores for [`Op::AddN`]/[`Op::ConcatCols`].
     var_lists: Vec<Vec<Var>>,
-    /// Pre-optimization behavior: allocate fresh per op, reference GEMM
-    /// kernels, no buffer recycling. Kept for honest speedup baselines.
-    legacy: bool,
     /// Execution backend for the hot-path kernels (serial by default).
     backend: Box<dyn TensorBackend>,
     /// Counters of the most recent backward sweep.
@@ -165,7 +162,6 @@ impl Tape {
             frozen_at: None,
             ws: Workspace::new(),
             var_lists: Vec::new(),
-            legacy: false,
             backend: make_backend(BackendKind::Serial),
             last_backward: BackwardStats::default(),
         }
@@ -176,26 +172,10 @@ impl Tape {
         self.last_backward
     }
 
-    /// Switch between the optimized hot path (default) and the legacy
-    /// pre-optimization behavior (reference GEMM kernels, fresh allocation
-    /// per ephemeral tensor). Must be called before any node is pushed.
-    ///
-    /// # Panics
-    /// Panics if the tape already holds nodes.
-    pub fn set_legacy_mode(&mut self, on: bool) {
-        assert!(
-            self.nodes.is_empty(),
-            "set_legacy_mode requires an empty tape"
-        );
-        self.legacy = on;
-        self.ws.set_recycling(!on);
-    }
-
     /// Select the execution backend for the hot-path kernels. Backends are
     /// bit-identical to each other by contract (see [`crate::backend`]), so
     /// this changes wall-clock time, never results. Must be called before
-    /// any node is pushed; the legacy mode ignores the backend and always
-    /// runs the reference kernels.
+    /// any node is pushed.
     ///
     /// # Panics
     /// Panics if the tape already holds nodes.
@@ -311,7 +291,8 @@ impl Tape {
 
     /// Drop all ephemeral nodes and clear parameter gradients. Ephemeral
     /// values, gradients and op var-lists are recycled into the workspace for
-    /// the next epoch.
+    /// the next epoch, which keeps as many buffers of each size as this
+    /// cycle acquired and frees the rest.
     pub fn reset(&mut self) {
         let boundary = self.frozen_at.expect("reset requires a frozen tape") as usize;
         while self.nodes.len() > boundary {
@@ -330,6 +311,7 @@ impl Tape {
                 self.ws.release(g);
             }
         }
+        self.ws.end_cycle();
     }
 
     /// Add a constant (non-differentiable) input tensor. Registered before
@@ -489,16 +471,11 @@ impl Tape {
 
     /// `a · b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let value = if self.legacy {
-            self.value(a).matmul_ref(self.value(b))
-        } else {
-            let (m, _) = self.nodes[a.idx()].value.shape();
-            let n = self.nodes[b.idx()].value.cols();
-            let mut out = self.ws.raw(m, n);
-            self.backend
-                .matmul_into(self.value(a), self.value(b), &mut out);
-            out
-        };
+        let (m, _) = self.nodes[a.idx()].value.shape();
+        let n = self.nodes[b.idx()].value.cols();
+        let mut value = self.ws.raw(m, n);
+        self.backend
+            .matmul_into(self.value(a), self.value(b), &mut value);
         let ng = self.any_needs(&[a, b]);
         self.push(value, Op::MatMul(a, b), ng)
     }
@@ -840,15 +817,6 @@ impl Tape {
                 continue;
             }
             visited += 1;
-            if self.legacy {
-                // The pre-optimization sweep cloned the node's gradient
-                // before dispatching; keep that cost in the baseline.
-                let grad = self.nodes[i].grad.clone().expect("presence checked above");
-                let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
-                self.backprop_one(Var(i as u32), &grad, &op);
-                self.nodes[i].op = op;
-                continue;
-            }
             // Detach the gradient and op so the backward arm can borrow the
             // rest of the tape freely without cloning either; both are
             // restored below so `Tape::grad` keeps working after backward.
@@ -869,25 +837,15 @@ impl Tape {
             Op::Leaf => {}
             Op::MatMul(a, b) => {
                 if self.needs(*a) {
-                    let da = if self.legacy {
-                        grad.matmul_nt_ref(&self.nodes[b.idx()].value)
-                    } else {
-                        let mut da = self.ws.raw(grad.rows(), self.nodes[b.idx()].value.rows());
-                        self.backend
-                            .matmul_nt_into(grad, &self.nodes[b.idx()].value, &mut da);
-                        da
-                    };
+                    let mut da = self.ws.raw(grad.rows(), self.nodes[b.idx()].value.rows());
+                    self.backend
+                        .matmul_nt_into(grad, &self.nodes[b.idx()].value, &mut da);
                     self.accumulate(*a, da);
                 }
                 if self.needs(*b) {
-                    let db = if self.legacy {
-                        self.nodes[a.idx()].value.matmul_tn_ref(grad)
-                    } else {
-                        let mut db = self.ws.raw(self.nodes[a.idx()].value.cols(), grad.cols());
-                        self.backend
-                            .matmul_tn_into(&self.nodes[a.idx()].value, grad, &mut db);
-                        db
-                    };
+                    let mut db = self.ws.raw(self.nodes[a.idx()].value.cols(), grad.cols());
+                    self.backend
+                        .matmul_tn_into(&self.nodes[a.idx()].value, grad, &mut db);
                     self.accumulate(*b, db);
                 }
             }
@@ -933,39 +891,23 @@ impl Tape {
             Op::MulElem(a, b) => {
                 if self.needs(*a) {
                     let mut da = self.ws.copy_of(grad);
-                    if self.legacy {
-                        // The pre-optimization rule snapshotted the operand
-                        // with `to_vec()`; keep that cost in the baseline.
-                        let bv = self.nodes[b.idx()].value.as_slice().to_vec();
-                        for (g, &bv) in da.as_mut_slice().iter_mut().zip(&bv) {
-                            *g *= bv;
-                        }
-                    } else {
-                        for (g, &bv) in da
-                            .as_mut_slice()
-                            .iter_mut()
-                            .zip(self.nodes[b.idx()].value.as_slice())
-                        {
-                            *g *= bv;
-                        }
+                    for (g, &bv) in da
+                        .as_mut_slice()
+                        .iter_mut()
+                        .zip(self.nodes[b.idx()].value.as_slice())
+                    {
+                        *g *= bv;
                     }
                     self.accumulate(*a, da);
                 }
                 if self.needs(*b) {
                     let mut db = self.ws.copy_of(grad);
-                    if self.legacy {
-                        let av = self.nodes[a.idx()].value.as_slice().to_vec();
-                        for (g, &av) in db.as_mut_slice().iter_mut().zip(&av) {
-                            *g *= av;
-                        }
-                    } else {
-                        for (g, &av) in db
-                            .as_mut_slice()
-                            .iter_mut()
-                            .zip(self.nodes[a.idx()].value.as_slice())
-                        {
-                            *g *= av;
-                        }
+                    for (g, &av) in db
+                        .as_mut_slice()
+                        .iter_mut()
+                        .zip(self.nodes[a.idx()].value.as_slice())
+                    {
+                        *g *= av;
                     }
                     self.accumulate(*b, db);
                 }
@@ -1551,6 +1493,51 @@ mod tests {
         );
     }
 
+    /// One forward/backward cycle over `rows` input rows, then a reset.
+    fn request_cycle(tape: &mut Tape, w: Var, rows: usize) {
+        let x = tape.input(Tensor::full(rows, 3, 0.5));
+        let h = tape.matmul(x, w);
+        let r = tape.relu(h);
+        let loss = tape.sum_all(r);
+        tape.backward(loss);
+        tape.reset();
+    }
+
+    #[test]
+    fn workspace_retention_follows_the_last_reset_cycle() {
+        // A served model sees a new request shape per cycle: the parked
+        // buffers must track the last cycle's working set instead of
+        // accumulating every shape ever seen.
+        let weights = || Tensor::from_vec(3, 2, vec![0.5, -0.25, 0.125, 1.0, -0.75, 0.375]);
+        let shapes = [8usize, 72, 13, 40, 8, 55, 21];
+        // What one cycle of each shape parks on a fresh tape: exactly the
+        // buffers that cycle acquired.
+        let working_set = |rows: usize| {
+            let mut tape = Tape::new();
+            let w = tape.param(weights());
+            tape.freeze();
+            request_cycle(&mut tape, w, rows);
+            tape.workspace_stats().resident_elems
+        };
+        let mut tape = Tape::new();
+        let w = tape.param(weights());
+        tape.freeze();
+        for rows in shapes {
+            request_cycle(&mut tape, w, rows);
+            let resident = tape.workspace_stats().resident_elems;
+            assert!(
+                resident <= working_set(rows),
+                "after a {rows}-row cycle {resident} elements stay parked, more than \
+                 the {} the cycle acquired",
+                working_set(rows)
+            );
+        }
+        // A replayed shape still runs allocation-free.
+        let misses = tape.workspace_stats().misses;
+        request_cycle(&mut tape, w, 21);
+        assert_eq!(tape.workspace_stats().misses, misses);
+    }
+
     #[test]
     fn reset_truncates_to_parameters() {
         let mut tape = Tape::new();
@@ -1644,26 +1631,6 @@ mod tests {
             after_first,
             "later epochs must be allocation-free on the parallel backend"
         );
-    }
-
-    #[test]
-    fn legacy_mode_matches_fast_path_gradients() {
-        let run = |legacy: bool| {
-            let mut tape = Tape::new();
-            tape.set_legacy_mode(legacy);
-            let w = tape.param(Tensor::from_vec(2, 2, vec![0.5, -0.25, 0.125, 1.0]));
-            let x = tape.input(Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
-            tape.freeze();
-            let h = tape.matmul(x, w);
-            let loss = tape.sum_all(h);
-            tape.backward(loss);
-            tape.grad(w).unwrap().clone()
-        };
-        let fast = run(false);
-        let legacy = run(true);
-        for (a, b) in fast.as_slice().iter().zip(legacy.as_slice()) {
-            assert!((a - b).abs() < 1e-5, "fast {a} vs legacy {b}");
-        }
     }
 
     #[test]

@@ -277,8 +277,8 @@ impl Tensor {
     }
 
     /// The pre-optimization `matmul` kernel (ikj order with a per-element
-    /// zero skip). Retained for the legacy benchmarking mode and for
-    /// differential tests against the blocked kernel; note the zero skip
+    /// zero skip). Retained as the reference of differential tests and
+    /// benchmarks against the blocked kernel; note the zero skip
     /// suppresses NaN propagation from zero-masked positions, which the
     /// blocked kernel deliberately does not.
     pub fn matmul_ref(&self, rhs: &Tensor) -> Tensor {

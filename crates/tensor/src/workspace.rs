@@ -8,6 +8,14 @@
 //! steady state performs no heap allocation at all. The hit/miss counters
 //! make that property observable and testable.
 //!
+//! Retention follows the last reset cycle: the workspace counts the
+//! acquisitions of each size class between two resets, and at the reset
+//! trims every free list to that count and drops the classes the cycle
+//! never touched. A replayed cycle therefore still hits on every
+//! acquisition, while buffers of shapes that stopped recurring (a served
+//! model's past requests, a per-epoch input tensor) are freed instead of
+//! accumulating.
+//!
 //! The kernel backends (see [`crate::backend`]) follow the same grow-once
 //! discipline outside this workspace: the parallel backend's thread pool is
 //! spawned at backend creation and its per-chunk reduction scratch grows on
@@ -31,50 +39,26 @@ pub struct WorkspaceStats {
     pub resident_elems: usize,
 }
 
-/// Cap on parked buffers per size class. A shape-stable epoch never comes
-/// close (its working set is bounded by the live tensors of one step), but
-/// callers that allocate fresh inputs every epoch would otherwise grow the
-/// free lists without bound over a long training run.
-const MAX_PER_CLASS: usize = 256;
-
-/// Free lists of `f32` buffers keyed by element count.
-#[derive(Debug)]
-pub struct Workspace {
-    free: HashMap<usize, Vec<Vec<f32>>>,
-    hits: u64,
-    misses: u64,
-    recycling: bool,
+/// The parked buffers of one size class, and how many buffers of that size
+/// the current cycle has acquired so far.
+#[derive(Debug, Default)]
+struct SizeClass {
+    free: Vec<Vec<f32>>,
+    acquired: usize,
 }
 
-impl Default for Workspace {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Free lists of `f32` buffers keyed by element count.
+#[derive(Debug, Default)]
+pub struct Workspace {
+    classes: HashMap<usize, SizeClass>,
+    hits: u64,
+    misses: u64,
 }
 
 impl Workspace {
-    /// An empty workspace with recycling enabled.
+    /// An empty workspace.
     pub fn new() -> Self {
-        Workspace {
-            free: HashMap::new(),
-            hits: 0,
-            misses: 0,
-            recycling: true,
-        }
-    }
-
-    /// Toggle recycling. When off, every acquisition allocates fresh and
-    /// [`Workspace::release`] drops its buffer — the pre-optimization
-    /// allocation behavior, retained for the legacy benchmarking mode.
-    pub fn set_recycling(&mut self, on: bool) {
-        self.recycling = on;
-        if !on {
-            self.free.clear();
-        }
-    }
-
-    fn take(&mut self, len: usize) -> Option<Vec<f32>> {
-        self.free.get_mut(&len).and_then(Vec::pop)
+        Self::default()
     }
 
     /// A `rows × cols` tensor with unspecified contents (stale data from a
@@ -84,7 +68,9 @@ impl Workspace {
         if len == 0 {
             return Tensor::zeros(rows, cols); // zero-length Vec: no allocation
         }
-        match self.take(len) {
+        let class = self.classes.entry(len).or_default();
+        class.acquired += 1;
+        match class.free.pop() {
             Some(buf) => {
                 self.hits += 1;
                 Tensor::from_vec(rows, cols, buf)
@@ -112,22 +98,30 @@ impl Workspace {
 
     /// Park a tensor's buffer for reuse by a same-sized acquisition.
     pub fn release(&mut self, t: Tensor) {
-        if !self.recycling || t.is_empty() {
+        if t.is_empty() {
             return;
         }
         let buf = t.into_raw();
-        let list = self.free.entry(buf.len()).or_default();
-        if list.len() < MAX_PER_CLASS {
-            list.push(buf);
-        }
+        self.classes.entry(buf.len()).or_default().free.push(buf);
+    }
+
+    /// Close a reset cycle: keep at most as many buffers per size class as
+    /// the cycle acquired, drop the classes it never acquired from, and
+    /// start counting the next cycle.
+    pub(crate) fn end_cycle(&mut self) {
+        self.classes.retain(|_, class| {
+            class.free.truncate(class.acquired);
+            class.acquired = 0;
+            !class.free.is_empty()
+        });
     }
 
     /// Current counters.
     pub fn stats(&self) -> WorkspaceStats {
         let (mut resident, mut resident_elems) = (0usize, 0usize);
-        for bufs in self.free.values() {
-            resident += bufs.len();
-            resident_elems += bufs.iter().map(Vec::len).sum::<usize>();
+        for class in self.classes.values() {
+            resident += class.free.len();
+            resident_elems += class.free.iter().map(Vec::len).sum::<usize>();
         }
         WorkspaceStats {
             hits: self.hits,
@@ -166,14 +160,20 @@ mod tests {
     }
 
     #[test]
-    fn recycling_off_always_allocates_and_drops() {
+    fn end_cycle_keeps_what_the_cycle_acquired_and_drops_the_rest() {
         let mut ws = Workspace::new();
-        ws.set_recycling(false);
-        let t = ws.zeroed(2, 2);
-        ws.release(t);
+        let (a, b) = (ws.raw(2, 3), ws.raw(2, 3));
+        ws.release(a);
+        ws.release(b);
+        // A buffer the workspace never handed out (a caller-built input).
+        ws.release(Tensor::zeros(4, 4));
+        ws.release(Tensor::zeros(2, 3));
+        ws.end_cycle();
+        let s = ws.stats();
+        assert_eq!((s.resident, s.resident_elems), (2, 12));
+        // The next cycle acquires nothing: everything parked is dropped.
+        ws.end_cycle();
         assert_eq!(ws.stats().resident, 0);
-        let _t = ws.zeroed(2, 2);
-        assert_eq!(ws.stats().misses, 2);
     }
 
     #[test]

@@ -8,35 +8,51 @@
 //! 2. An epoch running on recycled (stale-content) buffers produces values
 //!    and gradients **bit-for-bit identical** to the same epoch on a fresh
 //!    tape — i.e. every workspace buffer really is fully overwritten.
+//!
+//! Allocations are counted per thread, so only the test's own thread is
+//! measured — never the test harness or a sibling test running alongside.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use grimp_tensor::{Adam, Adjacency, Tape, Tensor, Var};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations made by the current thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: the allocator also runs while a thread tears down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Heap allocations made by the current thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc();
+        System.realloc(ptr, layout, new_size)
+    }
 }
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Serializes the two tests so the parity test's allocations never pollute
-/// the counting test's measurement window.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 struct Fixture {
     idx8: Rc<Vec<u32>>,
@@ -131,7 +147,6 @@ fn epoch(tape: &mut Tape, x: Var, w1: Var, bias: Var, fx: &Fixture) -> f32 {
 
 #[test]
 fn second_epoch_performs_zero_heap_allocations() {
-    let _guard = SERIAL.lock().unwrap();
     let fx = Fixture::new();
     let mut tape = Tape::new();
     let (w1, bias) = params(&mut tape);
@@ -139,23 +154,29 @@ fn second_epoch_performs_zero_heap_allocations() {
     tape.freeze();
     let mut adam = Adam::new(1e-2);
 
-    // Epoch 1 populates the free lists and the Adam moments.
+    // Epoch 1 populates the free lists and the Adam moments — heap
+    // allocations the counter must see.
+    let allocs_before = allocs();
     epoch(&mut tape, x, w1, bias, &fx);
     adam.step(&mut tape);
     tape.reset();
+    assert!(
+        allocs() > allocs_before,
+        "the counter must observe the first epoch's allocations"
+    );
     let stats_after_first = tape.workspace_stats();
     assert!(
         stats_after_first.misses > 0,
         "first epoch must allocate buffers"
     );
 
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let allocs_before = allocs();
     for _ in 0..4 {
         epoch(&mut tape, x, w1, bias, &fx);
         adam.step(&mut tape);
         tape.reset();
     }
-    let alloc_delta = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    let alloc_delta = allocs() - allocs_before;
     let miss_delta = tape.workspace_stats().misses - stats_after_first.misses;
     assert_eq!(miss_delta, 0, "later epochs must never miss the free lists");
     assert_eq!(alloc_delta, 0, "later epochs must not touch the heap");
@@ -163,7 +184,6 @@ fn second_epoch_performs_zero_heap_allocations() {
 
 #[test]
 fn recycled_epoch_is_bit_identical_to_a_fresh_tape() {
-    let _guard = SERIAL.lock().unwrap();
     let fx = Fixture::new();
 
     // Long-lived tape: epoch 1 dirties the workspace, epoch 2 runs entirely

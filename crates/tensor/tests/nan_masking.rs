@@ -1,8 +1,8 @@
 //! The aggregation kernels must not branch on zero weights: a zero weight
 //! multiplies (`0 · NaN = NaN`) rather than skips, so a NaN payload sitting
 //! in a zero-masked position surfaces instead of being silently hidden.
-//! The legacy `*_ref` GEMM kernels keep the old skip-on-zero behavior, which
-//! is exactly why they are quarantined to the benchmarking baseline.
+//! The reference `*_ref` GEMM kernels keep the old skip-on-zero behavior,
+//! which is exactly why they serve only as test and benchmark references.
 
 use grimp_tensor::{block_weighted_sum_into, scatter_weighted_into, Adjacency, Tensor};
 

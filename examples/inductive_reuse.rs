@@ -1,15 +1,16 @@
 //! Inductive reuse and model introspection (paper §7 future work).
 //!
-//! Trains GRIMP once, then (1) imputes a *fresh* table of unseen tuples
-//! with the same trained weights, (2) prints each task's learned attention
-//! profile — functional dependencies show up as concentrated attention —
-//! and (3) demonstrates the self-supervised hyperparameter tuner.
+//! Trains GRIMP once through a [`grimp::Pipeline`], then (1) imputes a
+//! *fresh* table of unseen tuples with the same trained weights, (2) prints
+//! each task's learned attention profile — functional dependencies show up
+//! as concentrated attention — and (3) demonstrates the self-supervised
+//! hyperparameter tuner.
 //!
 //! ```bash
 //! cargo run --release --example inductive_reuse
 //! ```
 
-use grimp::{default_candidates, select_config, GrimpConfig, TrainedGrimp, TunerConfig};
+use grimp::{default_candidates, select_config, GrimpConfig, Pipeline, TunerConfig};
 use grimp_datasets::{generate, DatasetId};
 use grimp_metrics::evaluate;
 use grimp_table::{inject_mcar, Schema, Table, Value};
@@ -60,7 +61,11 @@ fn main() {
     println!("selected: lr={}, {:?} tasks\n", best.lr, best.task_kind);
 
     // 2. train once, keep the model
-    let mut model = TrainedGrimp::fit(best, &tax.fds, &train_dirty);
+    let mut model = Pipeline::new(best)
+        .expect("the tuner selects a valid config")
+        .with_fds(tax.fds.clone())
+        .fit(&train_dirty)
+        .expect("table has columns");
     println!(
         "trained {} epochs ({} weights)\n",
         model.report().epochs_run,
@@ -69,7 +74,9 @@ fn main() {
 
     // 3. attention introspection: where does each task look?
     println!("attention profile (rows = imputed attribute, columns = attended attribute):");
-    let profiles = model.attention_profile(&train_dirty, 100);
+    let profiles = model
+        .attention_profile(&train_dirty, 100)
+        .expect("the training table profiles");
     let names: Vec<&str> = train_clean
         .schema()
         .columns()
@@ -97,7 +104,9 @@ fn main() {
     // 4. impute the unseen deployment slice with the same model
     let mut deploy_dirty = deploy_clean.clone();
     let log = inject_mcar(&mut deploy_dirty, 0.15, &mut StdRng::seed_from_u64(2));
-    let imputed = model.impute_table(&deploy_dirty);
+    let imputed = model
+        .impute(&deploy_dirty)
+        .expect("the deployment slice shares the training schema");
     let eval = evaluate(&deploy_clean, &imputed, &log);
     println!(
         "\nunseen-tuple imputation: accuracy={} rmse={} over {} test cells",

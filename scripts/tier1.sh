@@ -5,7 +5,7 @@
 #   ./scripts/tier1.sh
 #
 # Also regenerates BENCH_hotpath.json (fixed seeds, deterministic) so the
-# hot-path speedup claim stays backed by a fresh measurement.
+# hot-path overhead and allocation gates run against a fresh measurement.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,9 +41,14 @@ echo "==> parallel kernel backend (Serial vs Parallel bit-identity, kernel + end
 cargo test -q -p grimp-tensor --test backend_parity
 cargo test -q -p grimp-core --test backend_e2e
 
-echo "==> hotpath probe (writes BENCH_hotpath.json; asserts NullSink + guard overhead < 2%,"
-echo "    parallel-backend bit-identity, and 0 workspace allocs after epoch 1 on both backends)"
+echo "==> hotpath probe (writes BENCH_hotpath.json; asserts NullSink + guard overhead < 2%"
+echo "    against the previous fast time, parallel-backend bit-identity, and 0 workspace"
+echo "    allocs after epoch 1 on both backends)"
 cargo run --release -p grimp-bench --bin hotpath_probe -- --threads 2
+
+echo "==> examples over the shared engine (inductive reuse through Pipeline, FedAvg)"
+cargo run --release --example inductive_reuse
+cargo run --release --example federated
 
 echo "==> sampled training gate (50k-row XL synthetic under a 24 MB budget must take"
 echo "    the sampling rung and still fill every cell)"

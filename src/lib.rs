@@ -34,7 +34,7 @@ pub mod prelude {
     pub use grimp::{
         CheckpointPolicy, ColumnTier, ConfigError, EpochStats, ErrorCategory, FittedModel, Grimp,
         GrimpConfig, GrimpConfigBuilder, GrimpError, KStrategy, Pipeline, ResourceLimits,
-        SamplerConfig, TaskKind, TrainReport, TrainedGrimp,
+        SamplerConfig, TaskKind, TrainReport,
     };
     pub use grimp_metrics::{dataset_stats, evaluate};
     pub use grimp_obs::{EventKind, EventSink, JsonlSink, MemorySink, NullSink};
