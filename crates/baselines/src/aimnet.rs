@@ -12,7 +12,7 @@
 //! regressor for numericals — AimNet's strength on numerical RMSE comes
 //! from this direct regression path.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,7 +73,7 @@ impl AimNetLike {
     /// Attention-pooled context: `alpha = softmax(1·attn + mask_bias)`,
     /// `ctx = Σ_c alpha_c · emb(cell_c)`.
     fn head_forward(tape: &mut Tape, emb: Var, head: &ColumnHead, batch: &VectorBatch) -> Var {
-        let v = tape.gather_rows(emb, Rc::clone(&batch.idx));
+        let v = tape.gather_rows(emb, Arc::clone(&batch.idx));
         let mask = tape.input(batch.mask.clone());
         let v = tape.mul_elem(v, mask);
         let ones = tape.input(Tensor::full(batch.n, 1, 1.0));
@@ -122,8 +122,8 @@ impl Imputer for AimNetLike {
 
         // Pre-build batches and labels per column.
         enum L {
-            Cat(Rc<Vec<u32>>),
-            Num(Rc<Vec<f32>>),
+            Cat(Arc<Vec<u32>>),
+            Num(Arc<Vec<f32>>),
         }
         let batches: Vec<Option<(VectorBatch, L)>> = (0..n_cols)
             .map(|j| {
@@ -135,13 +135,13 @@ impl Imputer for AimNetLike {
                     samples.iter().map(|s| (s.row, s.target_col)).collect();
                 let batch = VectorBatch::build(&graph, &norm, &positions, cfg.dim);
                 let labels = match norm.schema().column(j).kind {
-                    ColumnKind::Categorical => L::Cat(Rc::new(
+                    ColumnKind::Categorical => L::Cat(Arc::new(
                         samples
                             .iter()
                             .map(|s| s.label.as_cat().expect("cat"))
                             .collect(),
                     )),
-                    ColumnKind::Numerical => L::Num(Rc::new(
+                    ColumnKind::Numerical => L::Num(Arc::new(
                         samples
                             .iter()
                             .map(|s| s.label.as_num().expect("num") as f32)
@@ -162,8 +162,8 @@ impl Imputer for AimNetLike {
                 };
                 let out = Self::head_forward(&mut tape, emb, head, batch);
                 let loss = match labels {
-                    L::Cat(t) => tape.softmax_cross_entropy(out, Rc::clone(t)),
-                    L::Num(t) => tape.mse_loss(out, Rc::clone(t)),
+                    L::Cat(t) => tape.softmax_cross_entropy(out, Arc::clone(t)),
+                    L::Num(t) => tape.mse_loss(out, Arc::clone(t)),
                 };
                 losses.push(loss);
             }

@@ -6,7 +6,7 @@
 //! encoder, (3) there is no multi-task sharing — one isolated model per
 //! attribute, each with its own single loss.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -125,7 +125,7 @@ impl Imputer for DataWigLike {
             match dirty.schema().column(j).kind {
                 ColumnKind::Categorical => {
                     let n_classes = dirty.dictionary(j).len().max(1);
-                    let labels: Rc<Vec<u32>> = Rc::new(
+                    let labels: Arc<Vec<u32>> = Arc::new(
                         observed
                             .iter()
                             .map(|&i| dirty.get(i, j).as_cat().expect("cat"))
@@ -138,7 +138,7 @@ impl Imputer for DataWigLike {
                     for _ in 0..cfg.epochs {
                         let x = tape.input(x_train.clone());
                         let logits = model.forward(&mut tape, x);
-                        let loss = tape.softmax_cross_entropy(logits, Rc::clone(&labels));
+                        let loss = tape.softmax_cross_entropy(logits, Arc::clone(&labels));
                         tape.backward(loss);
                         adam.step(&mut tape);
                         tape.reset();
@@ -158,7 +158,7 @@ impl Imputer for DataWigLike {
                     }
                 }
                 ColumnKind::Numerical => {
-                    let targets: Rc<Vec<f32>> = Rc::new(
+                    let targets: Arc<Vec<f32>> = Arc::new(
                         observed
                             .iter()
                             .map(|&i| {
@@ -173,7 +173,7 @@ impl Imputer for DataWigLike {
                     for _ in 0..cfg.epochs {
                         let x = tape.input(x_train.clone());
                         let pred = model.forward(&mut tape, x);
-                        let loss = tape.mse_loss(pred, Rc::clone(&targets));
+                        let loss = tape.mse_loss(pred, Arc::clone(&targets));
                         tape.backward(loss);
                         adam.step(&mut tape);
                         tape.reset();

@@ -6,7 +6,7 @@
 //! embeddings; one classifier predicts over the union of all attribute
 //! domains, and imputation restricts the argmax to the target attribute.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -132,7 +132,7 @@ impl Imputer for EmbdiMc {
             return crate::encoding::mean_mode_fill(dirty);
         }
         let x_train = Tensor::from_vec(labels.len(), dim, xs);
-        let labels = Rc::new(labels);
+        let labels = Arc::new(labels);
 
         let mut tape = Tape::new();
         let model = Mlp::new(&mut tape, &[dim, cfg.hidden, domain.n_classes()], &mut rng);
@@ -141,7 +141,7 @@ impl Imputer for EmbdiMc {
         for _ in 0..cfg.epochs {
             let x = tape.input(x_train.clone());
             let logits = model.forward(&mut tape, x);
-            let loss = tape.softmax_cross_entropy(logits, Rc::clone(&labels));
+            let loss = tape.softmax_cross_entropy(logits, Arc::clone(&labels));
             tape.backward(loss);
             adam.step(&mut tape);
             tape.reset();

@@ -14,7 +14,7 @@
 //! numerical outputs, so categorical values must be coerced to values in
 //! the active domain" — exactly what the argmax-decoding here does.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -161,7 +161,7 @@ impl Imputer for Gain {
         // Constants reused across iterations.
         let x_masked = x.clone(); // missing entries are already 0
         let inv_mask = mask.map(|v| 1.0 - v);
-        let mask_targets: Rc<Vec<f32>> = Rc::new(mask.as_slice().to_vec());
+        let mask_targets: Arc<Vec<f32>> = Arc::new(mask.as_slice().to_vec());
 
         // `input_mask` controls what the generator *sees*; the true `mask`
         // controls the pass-through. Hiding a random subset of observed
@@ -220,7 +220,7 @@ impl Imputer for Gain {
                 let logits = discriminator.forward(&mut tape, din);
                 let probs = tape.sigmoid(logits);
                 let flat = tape.reshape(probs, x.rows() * x.cols(), 1);
-                let loss = tape.mse_loss(flat, Rc::clone(&mask_targets));
+                let loss = tape.mse_loss(flat, Arc::clone(&mask_targets));
                 tape.backward(loss);
                 adam_d.step_range(&mut tape, g_params..d_params);
                 tape.reset();

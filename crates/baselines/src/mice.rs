@@ -8,7 +8,7 @@
 //! Features are one-hot-encoded categoricals (frequency-capped) plus
 //! z-scored numericals.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -172,7 +172,7 @@ impl Imputer for Mice {
                 match dirty.schema().column(j).kind {
                     ColumnKind::Categorical => {
                         let n_classes = dirty.dictionary(j).len().max(2);
-                        let labels: Rc<Vec<u32>> = Rc::new(
+                        let labels: Arc<Vec<u32>> = Arc::new(
                             observed_rows[j]
                                 .iter()
                                 .map(|&i| features.get(i, j).as_cat().expect("cat"))
@@ -185,7 +185,7 @@ impl Imputer for Mice {
                         for _ in 0..self.config.epochs {
                             let x = tape.input(x_train.clone());
                             let logits = model.forward(&mut tape, x);
-                            let loss = tape.softmax_cross_entropy(logits, Rc::clone(&labels));
+                            let loss = tape.softmax_cross_entropy(logits, Arc::clone(&labels));
                             tape.backward(loss);
                             adam.step(&mut tape);
                             tape.reset();
@@ -206,7 +206,7 @@ impl Imputer for Mice {
                         }
                     }
                     ColumnKind::Numerical => {
-                        let targets: Rc<Vec<f32>> = Rc::new(
+                        let targets: Arc<Vec<f32>> = Arc::new(
                             observed_rows[j]
                                 .iter()
                                 .map(|&i| features.get(i, j).as_num().expect("num") as f32)
@@ -218,8 +218,8 @@ impl Imputer for Mice {
                             / targets.len() as f32)
                             .sqrt()
                             .max(1e-6);
-                        let norm_targets: Rc<Vec<f32>> =
-                            Rc::new(targets.iter().map(|v| (v - t_mean) / t_std).collect());
+                        let norm_targets: Arc<Vec<f32>> =
+                            Arc::new(targets.iter().map(|v| (v - t_mean) / t_std).collect());
                         let mut tape = Tape::new();
                         let model = Mlp::new(&mut tape, &[x_train.cols(), 1], &mut rng);
                         tape.freeze();
@@ -227,7 +227,7 @@ impl Imputer for Mice {
                         for _ in 0..self.config.epochs {
                             let x = tape.input(x_train.clone());
                             let pred = model.forward(&mut tape, x);
-                            let loss = tape.mse_loss(pred, Rc::clone(&norm_targets));
+                            let loss = tape.mse_loss(pred, Arc::clone(&norm_targets));
                             tape.backward(loss);
                             adam.step(&mut tape);
                             tape.reset();

@@ -11,7 +11,7 @@
 //! numerical attributes, as those are not considered in the original
 //! design" (§4.2): the substitute inherits that weakness by construction.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,7 +70,7 @@ impl TurlSub {
         classifier: &Mlp,
         batch: &VectorBatch,
     ) -> Var {
-        let v = tape.gather_rows(emb, Rc::clone(&batch.idx));
+        let v = tape.gather_rows(emb, Arc::clone(&batch.idx));
         let mask = tape.input(batch.mask.clone());
         let v = tape.mul_elem(v, mask);
         // content scores: each token projected to a scalar relevance
@@ -133,10 +133,10 @@ impl Imputer for TurlSub {
             return crate::encoding::mean_mode_fill(dirty);
         }
         let batch = VectorBatch::build(&graph, &norm, &positions, cfg.dim);
-        let labels = Rc::new(labels);
+        let labels = Arc::new(labels);
         for _ in 0..cfg.epochs {
             let logits = Self::forward(&mut tape, emb, &query, &classifier, &batch);
-            let loss = tape.softmax_cross_entropy(logits, Rc::clone(&labels));
+            let loss = tape.softmax_cross_entropy(logits, Arc::clone(&labels));
             tape.backward(loss);
             adam.step(&mut tape);
             tape.reset();

@@ -1,24 +1,30 @@
-//! Serving-throughput probe: fits a small model, binds an in-process
-//! `grimp serve` [`Server`] on a loopback port, and drives it with
-//! concurrent CSV impute requests over real sockets. Writes
-//! `BENCH_serve.json` in the working directory with throughput
-//! (requests/sec, imputed rows/sec) and latency percentiles (p50/p99).
+//! Serving-throughput probe: fits a small model, then for 1, 2 and 4
+//! worker threads binds an in-process `grimp serve` [`Server`] on a
+//! loopback port and drives it with concurrent CSV impute requests over
+//! real sockets. Writes `BENCH_serve.json` in the working directory with
+//! each run's throughput (requests/sec, imputed rows/sec) and latency
+//! percentiles (p50/p99).
 //!
 //! Deterministic load shape (fixed table, fixed request count, fixed
 //! client fan-out); wall-clock numbers vary with the machine, the
-//! contract checks (every response 200, nothing shed, clean drain) do
-//! not.
+//! contract checks (every response 200, nothing shed, clean drain, one
+//! model restore per server whatever its worker count) do not. Whether
+//! more workers buy throughput depends on the cores the host grants, so
+//! the probe prints `available_parallelism` beside the numbers and claims
+//! nothing.
 //!
 //! ```bash
 //! cargo run --release -p grimp-bench --bin load_probe
 //! ```
 
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use grimp::{CheckpointPolicy, GrimpConfig, GrimpConfigBuilder, Pipeline, ShutdownFlag, TaskKind};
 use grimp_graph::FeatureSource;
-use grimp_obs::NullSink;
+use grimp_obs::{names, Event, EventKind, EventSink};
 use grimp_serve::{client, ModelSource, ServeConfig, Server};
 use grimp_table::{ColumnKind, Schema, Table};
 
@@ -26,8 +32,9 @@ use grimp_table::{ColumnKind, Schema, Table};
 const REQUESTS: usize = 60;
 /// Concurrent client threads.
 const CLIENTS: usize = 3;
-/// Server worker threads (each holds its own restored model replica).
-const WORKERS: usize = 2;
+/// Server worker counts, one run each; every worker shares the served
+/// model.
+const WORKERS: [usize; 3] = [1, 2, 4];
 /// Rows per request body; a fifth arrive missing and must be imputed.
 const BATCH_ROWS: usize = 40;
 
@@ -101,20 +108,30 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-fn main() {
-    let train = train_table(120);
-    let ckpt_dir = std::env::temp_dir().join(format!("grimp-load-probe-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
-    std::fs::create_dir_all(&ckpt_dir).expect("create checkpoint dir");
-    let fit_start = Instant::now();
-    Pipeline::new(probe_config(Some(&ckpt_dir)))
-        .expect("probe config builds a pipeline")
-        .fit(&train)
-        .expect("probe fit succeeds");
-    let fit_seconds = fit_start.elapsed().as_secs_f64();
+/// Counts the model restores (`fit` spans) a server traces.
+struct RestoreCounter(Arc<AtomicU64>);
 
+impl EventSink for RestoreCounter {
+    fn record(&mut self, event: Event) {
+        if event.kind == EventKind::SpanExit && event.name == names::FIT {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// One load run against a server with `workers` worker threads.
+struct Run {
+    workers: usize,
+    total_seconds: f64,
+    p50: f64,
+    p99: f64,
+    served: u64,
+    restores: u64,
+}
+
+fn run(workers: usize, train: &Table, ckpt_dir: &std::path::Path, body: &str) -> Run {
     let cfg = ServeConfig {
-        workers: WORKERS,
+        workers,
         queue_depth: REQUESTS, // nothing sheds: this probe measures latency
         request_deadline: Some(Duration::from_secs(60)),
         ..Default::default()
@@ -122,18 +139,19 @@ fn main() {
     let source = ModelSource {
         pipeline: Pipeline::new(probe_config(None)).expect("serving pipeline builds"),
         train: train.clone(),
-        checkpoint_dir: ckpt_dir.clone(),
+        checkpoint_dir: ckpt_dir.to_path_buf(),
     };
+    let restores = Arc::new(AtomicU64::new(0));
+    let sink = Box::new(RestoreCounter(Arc::clone(&restores)));
     let flag = ShutdownFlag::new();
-    let server = Server::bind(cfg, source, flag.clone(), Box::new(NullSink))
+    let server = Server::bind(cfg, source, flag.clone(), sink)
         .expect("server binds and restores the checkpoint");
     let addr = server.local_addr().expect("bound address").to_string();
     let handle = std::thread::spawn(move || server.run());
 
-    let body = request_csv();
-    // Warm-up: every worker restores its replica on its first request.
-    for _ in 0..WORKERS {
-        let resp = client::impute(&addr, &body).expect("warm-up request");
+    // Warm-up: one request per worker.
+    for _ in 0..workers {
+        let resp = client::impute(&addr, body).expect("warm-up request");
         assert_eq!(resp.status, 200, "warm-up must impute");
     }
 
@@ -141,7 +159,7 @@ fn main() {
     let mut clients = Vec::with_capacity(CLIENTS);
     for _ in 0..CLIENTS {
         let addr = addr.clone();
-        let body = body.clone();
+        let body = body.to_string();
         // REQUESTS is a multiple of CLIENTS, so the split is exact.
         let n = REQUESTS / CLIENTS;
         clients.push(std::thread::spawn(move || {
@@ -172,45 +190,80 @@ fn main() {
     assert!(report.clean, "probe load drains clean");
     assert_eq!(report.shed, 0, "queue was sized to shed nothing");
     assert_eq!(report.panics, 0, "probe load panics no handler");
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
+    let restores = restores.load(Ordering::SeqCst);
+    assert_eq!(
+        restores, 1,
+        "{workers} workers must share one restored model, not restore {restores}"
+    );
 
     latencies.sort();
-    let p50 = percentile_ms(&latencies, 50.0);
-    let p99 = percentile_ms(&latencies, 99.0);
-    let requests_per_sec = REQUESTS as f64 / total_seconds;
-    let rows_per_sec = (REQUESTS * BATCH_ROWS) as f64 / total_seconds;
+    Run {
+        workers,
+        total_seconds,
+        p50: percentile_ms(&latencies, 50.0),
+        p99: percentile_ms(&latencies, 99.0),
+        served: report.served,
+        restores,
+    }
+}
+
+fn main() {
+    let train = train_table(120);
+    let ckpt_dir = std::env::temp_dir().join(format!("grimp-load-probe-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+    std::fs::create_dir_all(&ckpt_dir).expect("create checkpoint dir");
+    let fit_start = Instant::now();
+    Pipeline::new(probe_config(Some(&ckpt_dir)))
+        .expect("probe config builds a pipeline")
+        .fit(&train)
+        .expect("probe fit succeeds");
+    let fit_seconds = fit_start.elapsed().as_secs_f64();
+
+    let body = request_csv();
+    let runs: Vec<Run> = WORKERS
+        .iter()
+        .map(|&workers| run(workers, &train, &ckpt_dir, &body))
+        .collect();
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut json = String::from("{\n");
     let _ = write!(
         json,
         "  \"requests\": {REQUESTS},\n  \"client_threads\": {CLIENTS},\n  \
-         \"workers\": {WORKERS},\n  \"batch_rows\": {BATCH_ROWS},\n  \
-         \"fit_seconds\": {},\n  \"total_seconds\": {},\n  \
-         \"requests_per_sec\": {},\n  \"rows_per_sec\": {},\n  \
-         \"p50_ms\": {},\n  \"p99_ms\": {},\n  \"served\": {},\n  \
-         \"shed\": {},\n  \"panics\": {},\n  \"workers_replaced\": {},\n  \
-         \"respawns\": 0,\n  \"clean_drain\": true\n}}\n",
+         \"batch_rows\": {BATCH_ROWS},\n  \"available_parallelism\": {cores},\n  \
+         \"fit_seconds\": {},\n  \"runs\": [\n",
         json_f64(fit_seconds),
-        json_f64(total_seconds),
-        json_f64(requests_per_sec),
-        json_f64(rows_per_sec),
-        json_f64(p50),
-        json_f64(p99),
-        report.served,
-        report.shed,
-        report.panics,
-        report.workers_replaced,
     );
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-
     println!(
         "load   : {REQUESTS} requests x {BATCH_ROWS} rows from {CLIENTS} clients \
-         against {WORKERS} workers in {total_seconds:.3}s"
+         per run; available_parallelism {cores}"
     );
-    println!("through: {requests_per_sec:.1} req/s, {rows_per_sec:.0} rows/s");
-    println!("latency: p50 {p50:.1}ms, p99 {p99:.1}ms");
-    println!(
-        "drain  : clean, served {} (incl. warm-up), shed {}",
-        report.served, report.shed
-    );
+    for (i, r) in runs.iter().enumerate() {
+        let requests_per_sec = REQUESTS as f64 / r.total_seconds;
+        let rows_per_sec = (REQUESTS * BATCH_ROWS) as f64 / r.total_seconds;
+        let _ = writeln!(
+            json,
+            "    {{\"workers\": {}, \"total_seconds\": {}, \"requests_per_sec\": {}, \
+             \"rows_per_sec\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \"served\": {}, \
+             \"shed\": 0, \"panics\": 0, \"model_restores\": {}}}{}",
+            r.workers,
+            json_f64(r.total_seconds),
+            json_f64(requests_per_sec),
+            json_f64(rows_per_sec),
+            json_f64(r.p50),
+            json_f64(r.p99),
+            r.served,
+            r.restores,
+            if i + 1 < runs.len() { "," } else { "" },
+        );
+        println!(
+            "workers {}: {requests_per_sec:.1} req/s, {rows_per_sec:.0} rows/s, \
+             p50 {:.1}ms, p99 {:.1}ms, {} model restore, drained clean \
+             (served {} incl. warm-up, shed 0)",
+            r.workers, r.p50, r.p99, r.restores, r.served
+        );
+    }
+    json.push_str("  ],\n  \"respawns\": 0,\n  \"clean_drain\": true\n}\n");
+    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
 }

@@ -224,16 +224,19 @@ COMMANDS:
              recorded response (Idempotency-Replay: true) instead of
              appending twice; the same key with a different body is
              refused with 422
-             a handler panic answers that request 500, quarantines the
-             worker's model replica, and rebuilds it — panics and
-             workers_replaced are counted in /stats and the drain
-             summary (GRIMP_FAULT_PANIC=1 enables a POST /panic fault
-             route for testing this isolation)
-             the model is restored from DIR (written by a fit with the
-             same --algo/--seed/--paper/--threads); when a trainer
-             rotates a new checkpoint generation in, workers hot-reload
-             it between requests (a model_reloaded trace event records
-             the swap) — in-flight requests finish on the old model
+             a handler panic answers that request 500 and drops only
+             that request's scratch; the workers share one immutable
+             model, which stays in service — panics are counted in
+             /stats and the drain summary (GRIMP_FAULT_PANIC=1 enables a
+             POST /panic fault route for testing this isolation)
+             the model is restored once from DIR (written by a fit with
+             the same --algo/--seed/--paper/--threads) and shared by all
+             --workers; when a trainer rotates a new checkpoint
+             generation in, the watcher restores it once and swaps it in
+             (a model_reloaded trace event records the swap) — in-flight
+             requests finish on the old model, and a generation that
+             fails to restore is reported by /readyz while the last good
+             one keeps serving
              overload never wedges the server: a full queue sheds with
              503 + Retry-After, --request-deadline bounds each request's
              wall clock (504 past it), --memory-budget-mb refuses
@@ -559,7 +562,7 @@ fn impute_grimp(
     } else {
         &mut null
     };
-    let mut fitted = pipeline.fit_traced(table, sink)?;
+    let fitted = pipeline.fit_traced(table, sink)?;
     let imputed = fitted.impute_traced(table, sink)?;
     drop(fan);
     if let Some(sink) = jsonl {
@@ -1217,8 +1220,7 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
     let report = server.run()?;
     writeln!(
         out,
-        "drained {}; served {}, shed {}, over-budget {}, reloads {}, appends {}, panics {}, \
-         workers-replaced {}",
+        "drained {}; served {}, shed {}, over-budget {}, reloads {}, appends {}, panics {}",
         if report.clean {
             "clean"
         } else {
@@ -1230,7 +1232,6 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
         report.reloads,
         report.appends,
         report.panics,
-        report.workers_replaced,
     )?;
     let code = if crate::signal::last_signal() == crate::signal::SIGINT {
         crate::signal::EXIT_INTERRUPTED
@@ -1267,7 +1268,7 @@ fn cmd_chaos(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let mut failures = 0usize;
     for s in grimp_table::adversarial::scenarios() {
         let verdict = match pipeline.fit(&s.table) {
-            Ok(mut fitted) => {
+            Ok(fitted) => {
                 let left = fitted.impute(&s.table)?.n_missing();
                 let tiers: Vec<&str> = fitted.column_tiers().iter().map(|t| t.label()).collect();
                 if left == 0 {
@@ -1322,7 +1323,7 @@ fn cmd_chaos(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             .map_err(|e| CliError::config(e.to_string()))?;
         let pipeline = Pipeline::new(config).map_err(|e| CliError::config(e.to_string()))?;
         let verdict = match pipeline.fit(&small) {
-            Ok(mut fitted) => {
+            Ok(fitted) => {
                 let left = fitted.impute(&small)?.n_missing();
                 let warnings = fitted.report().io_errors.len();
                 if left == 0 {
@@ -1354,7 +1355,7 @@ fn cmd_chaos(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         .map_err(|e| CliError::config(e.to_string()))?;
     let pipeline = Pipeline::new(config).map_err(|e| CliError::config(e.to_string()))?;
     let verdict = match pipeline.fit(&small) {
-        Ok(mut fitted) => {
+        Ok(fitted) => {
             let left = fitted.impute(&small)?.n_missing();
             let hit = fitted.report().deadline_hit;
             if left == 0 && hit {
@@ -1384,7 +1385,7 @@ fn cmd_chaos(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let pipeline = Pipeline::new(config).map_err(|e| CliError::config(e.to_string()))?;
     for s in grimp_table::adversarial::scenarios() {
         let verdict = match pipeline.fit(&s.table) {
-            Ok(mut fitted) => {
+            Ok(fitted) => {
                 let left = fitted.impute(&s.table)?.n_missing();
                 if left == 0 {
                     "ok".to_string()
@@ -1417,7 +1418,7 @@ fn cmd_chaos(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let pipeline = Pipeline::new(config).map_err(|e| CliError::config(e.to_string()))?;
     for s in grimp_table::adversarial::scenarios() {
         let verdict = match pipeline.fit(&s.table) {
-            Ok(mut fitted) => {
+            Ok(fitted) => {
                 let left = fitted.impute(&s.table)?.n_missing();
                 if left == 0 {
                     "ok".to_string()
@@ -1649,7 +1650,7 @@ fn chaos_append(out: &mut dyn Write, small: &Table, seed: u64) -> Result<usize, 
         let pipeline = build(&dir, None, Some(backend), None)?;
         let verdict = (|| -> Result<String, String> {
             let first = pipeline.append(small, &rows).map_err(|e| e.to_string())?;
-            let mut model = first.model;
+            let model = first.model;
             let mid = model.impute(&first.table).map_err(|e| e.to_string())?;
             if mid.n_missing() != 0 {
                 return Err(format!("{} cells missing mid-stream", mid.n_missing()));
@@ -1718,7 +1719,7 @@ fn chaos_serve(out: &mut dyn Write, small: &Table, seed: u64) -> Result<usize, C
         .fit(small)?;
 
     // The serving pipeline carries the same structure but no checkpoint
-    // directory of its own — replicas restore from the rotated file.
+    // directory of its own — the server restores from the rotated file.
     let serving = || -> Result<Pipeline, CliError> {
         let config = GrimpConfigBuilder::from_config(GrimpConfig::fast())
             .seed(seed)
@@ -1803,8 +1804,8 @@ fn chaos_serve(out: &mut dyn Write, small: &Table, seed: u64) -> Result<usize, C
     }
 
     // Panic isolation: an injected handler panic answers that request 500,
-    // quarantines the worker's replica, and leaves the server healthy —
-    // the very next request restores a fresh replica and succeeds.
+    // drops only that request's scratch, and leaves the server healthy —
+    // the very next request imputes from the same shared model.
     let cfg = ServeConfig {
         panic_route: true,
         ..base_cfg.clone()
@@ -1821,7 +1822,7 @@ fn chaos_serve(out: &mut dyn Write, small: &Table, seed: u64) -> Result<usize, C
         match client::request(addr, "GET", "/stats", b"") {
             Ok(r) if r.status == 200 => {
                 let body = String::from_utf8_lossy(&r.body).to_string();
-                if body.contains("\"panics\":0") || body.contains("\"workers_replaced\":0") {
+                if body.contains("\"panics\":0") {
                     return Err(format!("stats did not count the panic: {body}"));
                 }
                 Ok(())

@@ -191,7 +191,7 @@ impl FederatedGrimp {
                 built,
                 trainer,
             } = party;
-            let mut fitted = built.into_fitted(shard.clone(), None, trainer.report);
+            let fitted = built.into_fitted(shard.clone(), None, trainer.report);
             let imputed = fitted
                 .impute(&shard)
                 .expect("invariant: a party's own shard imputes transductively");

@@ -322,7 +322,6 @@ pub(crate) fn append_model(
             AppendPath::Refit,
         )
     };
-    let mut model = model;
     let report = model.report().clone();
 
     // Step 4 — impute (transductive: the fit ran on this very table, so

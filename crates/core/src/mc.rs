@@ -12,7 +12,7 @@
 //! global classifier as its head, and the train stage runs the epoch loop
 //! over a loss hook that scores the flat sample batch.
 
-use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Instant;
 
 use grimp_graph::TableGraph;
@@ -184,9 +184,9 @@ impl GnnMc {
             classifier: &classifier,
             x,
             train: VectorBatch::build(&graph, &norm, &train_pos, cfg.embed_dim),
-            train_labels: Rc::new(train_labels),
+            train_labels: Arc::new(train_labels),
             val: VectorBatch::build(&graph, &norm, &val_pos, cfg.embed_dim),
-            val_labels: Rc::new(val_labels),
+            val_labels: Arc::new(val_labels),
         };
         let trainable = !objective.train.is_empty() && domain.n_classes() > 0;
         let report = TrainReport {
@@ -254,9 +254,9 @@ struct McObjective<'a> {
     classifier: &'a Mlp,
     x: Var,
     train: VectorBatch,
-    train_labels: Rc<Vec<u32>>,
+    train_labels: Arc<Vec<u32>>,
     val: VectorBatch,
-    val_labels: Rc<Vec<u32>>,
+    val_labels: Arc<Vec<u32>>,
 }
 
 impl Objective for McObjective<'_> {
@@ -271,19 +271,19 @@ impl Objective for McObjective<'_> {
         let h0 = self.gnn.forward(tape, self.x);
         let h = self.merge.forward(tape, h0);
         let logits = mc_forward(tape, self.classifier, h, &self.train);
-        let loss = tape.softmax_cross_entropy(logits, Rc::clone(&self.train_labels));
+        let loss = tape.softmax_cross_entropy(logits, Arc::clone(&self.train_labels));
         losses.push(loss);
         if self.val.is_empty() {
             return tape.value(loss).item();
         }
         let logits = mc_forward(tape, self.classifier, h, &self.val);
-        let val = tape.softmax_cross_entropy(logits, Rc::clone(&self.val_labels));
+        let val = tape.softmax_cross_entropy(logits, Arc::clone(&self.val_labels));
         tape.value(val).item()
     }
 }
 
 fn mc_forward(tape: &mut Tape, classifier: &Mlp, h: Var, batch: &VectorBatch) -> Var {
-    let v = tape.gather_rows(h, Rc::clone(&batch.idx));
+    let v = tape.gather_rows(h, Arc::clone(&batch.idx));
     let mask = tape.input(batch.mask.clone());
     let v = tape.mul_elem(v, mask);
     let flat = tape.reshape(v, batch.n, batch.n_cols * batch.dim);

@@ -21,7 +21,7 @@
 //! [`TrainReport::from_events`](crate::report::TrainReport::from_events)
 //! on a recorded stream reproduces them bit-for-bit.
 
-use std::rc::Rc;
+use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -61,10 +61,10 @@ pub struct Grimp {
     last_report: Option<TrainReport>,
 }
 
-/// Per-task label storage (shared with the loss nodes, hence `Rc`).
+/// Per-task label storage (shared with the loss nodes, hence `Arc`).
 enum Labels {
-    Cat(Rc<Vec<u32>>),
-    Num(Rc<Vec<f32>>),
+    Cat(Arc<Vec<u32>>),
+    Num(Arc<Vec<f32>>),
 }
 
 struct TaskBatch {
@@ -115,17 +115,22 @@ impl Grimp {
     /// This entry point is infallible by contract: the only fit-time error
     /// (a zero-column table) has nothing to impute, so the input comes back
     /// unchanged, and the training-table impute path cannot fail.
+    ///
+    /// The report's [`TrainReport::seconds`] covers the fit and the impute.
     pub fn fit_impute_traced(&mut self, dirty: &Table, sink: &mut dyn EventSink) -> Table {
-        let mut fitted = match fit_model(&self.config, &self.fds, dirty, sink) {
+        let fitted = match fit_model(&self.config, &self.fds, dirty, sink) {
             Ok(f) => f,
             Err(_) => return dirty.clone(),
         };
+        let start = Instant::now();
         let result = fitted
             .impute_traced(dirty, sink)
             // Unreachable for the training table; kept as a safety net so
             // the Imputer contract survives even a future logic error.
             .unwrap_or_else(|_| baseline_fill(dirty));
-        self.last_report = Some(fitted.report().clone());
+        let mut report = fitted.report;
+        report.seconds += start.elapsed().as_secs_f64();
+        self.last_report = Some(report);
         result
     }
 }
@@ -140,9 +145,14 @@ pub(crate) fn variant_name(config: &GrimpConfig) -> &'static str {
     }
 }
 
-/// A trained GRIMP model, ready to impute: the fitted graph/tape/heads plus
-/// everything needed to run inference again — on the training table or
-/// (with FastText features) on schema-compatible unseen tables.
+/// A trained GRIMP model, ready to impute: the fitted graph, the shared
+/// layer and the task heads with their frozen weights, plus everything
+/// needed to run inference again — on the training table or (with FastText
+/// features) on schema-compatible unseen tables.
+///
+/// The model is immutable and `Send + Sync`: every call runs its forward
+/// pass on a scratch tape of its own, so one model can serve many threads
+/// at once (share it behind an `Arc`).
 ///
 /// Produced by [`crate::Pipeline::fit`]; [`Grimp::fit_impute`] is a thin
 /// fit-then-impute wrapper over the same machinery.
@@ -154,32 +164,35 @@ pub struct FittedModel {
     /// The original dirty training table (detects transductive imputes).
     train_dirty: Table,
     graph: TableGraph,
-    tape: Tape,
+    /// The GNN, bound to the fitted graph.
     gnn: HeteroSage,
     merge: Mlp,
     tasks: Vec<Task>,
-    /// The node features of the fitted graph, a persistent tape input.
-    x: Var,
-    best_params: Option<Vec<Tensor>>,
+    /// The trainable parameters in registration order, holding the
+    /// imputation weights: the best-validation ones when training recorded
+    /// them. Each call registers them first on its scratch tape, so the
+    /// layers' parameter handles resolve to them.
+    params: Vec<Tensor>,
+    /// The node features of the fitted graph.
+    features: Tensor,
     /// Seed of the inductive FastText features (None for other sources).
     ft_seed: Option<u64>,
-    /// The GNN is currently bound to a foreign graph and must rebind
-    /// before imputing the training table again.
-    needs_rebind: bool,
     /// Also the source of the degradation flag and the column tiers.
     report: TrainReport,
 }
 
-/// Node embeddings of one forward pass of the shared layer, and the graph
-/// they were computed on (`None`: the fitted graph of the training table).
+/// One forward pass of the shared layer, on the calling request's own
+/// tape: the node embeddings, and the graph they were computed on (`None`:
+/// the fitted graph of the training table).
 struct Embedded {
-    unseen: Option<(Table, TableGraph)>,
+    tape: Tape,
     h: Var,
+    unseen: Option<(Table, TableGraph)>,
 }
 
 impl FittedModel {
-    /// The training report. [`TrainReport::seconds`] accumulates the time
-    /// of every [`FittedModel::impute`] call made through this model.
+    /// The training report. [`TrainReport::seconds`] is the wall time of
+    /// the fit (or of the restore) that produced this model.
     pub fn report(&self) -> &TrainReport {
         &self.report
     }
@@ -200,33 +213,6 @@ impl FittedModel {
     /// impute from the mode/mean baseline or the global constant.
     pub fn column_tiers(&self) -> &[ColumnTier] {
         &self.report.column_tiers
-    }
-
-    /// Swap this model's weights for the ones in `ck` — the hot-reload
-    /// primitive behind `grimp serve`'s checkpoint-generation rotation.
-    ///
-    /// The checkpoint's parameter tensors must line up shape-for-shape
-    /// with this model's tape (i.e. it was written by a fit of the same
-    /// table and configuration). On success the imputation weights become
-    /// the checkpoint's best-validation parameters (falling back to its
-    /// last-epoch parameters for checkpoints taken before the first
-    /// validation improvement).
-    ///
-    /// # Errors
-    /// [`grimp_tensor::CheckpointError::Corrupt`] when the shapes do not
-    /// match; the model is left untouched.
-    pub fn restore_checkpoint(
-        &mut self,
-        ck: &TrainCheckpoint,
-    ) -> Result<(), grimp_tensor::CheckpointError> {
-        if !engine::snapshot_shapes_match(&self.tape, &ck.params) {
-            return Err(grimp_tensor::CheckpointError::Corrupt(
-                "parameter shapes do not match this model".to_string(),
-            ));
-        }
-        self.tape.restore_param_values(&ck.params);
-        self.best_params = Some(ck.best_params.clone().unwrap_or_else(|| ck.params.clone()));
-        Ok(())
     }
 
     /// Impute all missing values of `table`.
@@ -250,24 +236,21 @@ impl FittedModel {
     /// unseen table: its GNN-tier columns step down the degradation ladder
     /// to the mode/mean baseline of the new table, so every missing cell is
     /// still filled. Imputing the training table never fails.
-    pub fn impute(&mut self, table: &Table) -> Result<Table, GrimpError> {
+    pub fn impute(&self, table: &Table) -> Result<Table, GrimpError> {
         let mut sink = NullSink;
         self.impute_traced(table, &mut sink)
     }
 
     /// [`FittedModel::impute`] with structured events streamed into `sink`.
     pub fn impute_traced(
-        &mut self,
+        &self,
         table: &Table,
         sink: &mut dyn EventSink,
     ) -> Result<Table, GrimpError> {
         let mut trace = Trace::new(sink);
-        let start = Instant::now();
         let span = trace.enter(names::IMPUTE, 0);
         let outcome = self.impute_table(table, &mut trace);
-        let dt = start.elapsed().as_secs_f64();
-        self.report.seconds += dt;
-        trace.exit_with(names::IMPUTE, 0, span, dt);
+        trace.exit(names::IMPUTE, 0, span);
         let _ = trace.flush();
         outcome
     }
@@ -287,12 +270,12 @@ impl FittedModel {
     /// [`GrimpError::InductiveUnsupported`] when the model was fitted
     /// without [`FeatureSource::FastText`] features.
     pub fn attention_profile(
-        &mut self,
+        &self,
         table: &Table,
         max_samples: usize,
     ) -> Result<Vec<Option<Vec<f32>>>, GrimpError> {
         let seen = self.is_training_table(table)?;
-        let Some(embedded) = self.embed(table, seen, &mut Trace::disabled()) else {
+        let Some(mut embedded) = self.embed(table, seen, &mut Trace::disabled()) else {
             return Err(GrimpError::InductiveUnsupported);
         };
         let (norm, graph) = match &embedded.unseen {
@@ -312,22 +295,20 @@ impl FittedModel {
                 continue;
             }
             let batch = VectorBatch::build(graph, norm, &samples, self.config.embed_dim);
-            let profile = task
-                .attention_alpha(&mut self.tape, embedded.h, &batch)
-                .map(|alpha| {
-                    let a = self.tape.value(alpha);
-                    let mut mean = vec![0.0f32; n_cols];
-                    for s in 0..batch.n {
-                        for (m, &v) in mean.iter_mut().zip(a.row_slice(s)) {
-                            *m += v;
-                        }
+            let tape = &mut embedded.tape;
+            let profile = task.attention_alpha(tape, embedded.h, &batch).map(|alpha| {
+                let a = tape.value(alpha);
+                let mut mean = vec![0.0f32; n_cols];
+                for s in 0..batch.n {
+                    for (m, &v) in mean.iter_mut().zip(a.row_slice(s)) {
+                        *m += v;
                     }
-                    mean.iter_mut().for_each(|m| *m /= batch.n as f32);
-                    mean
-                });
+                }
+                mean.iter_mut().for_each(|m| *m /= batch.n as f32);
+                mean
+            });
             profiles.push(profile);
         }
-        self.tape.reset();
         Ok(profiles)
     }
 
@@ -346,46 +327,41 @@ impl FittedModel {
         Ok(false)
     }
 
-    /// One forward pass of the shared layer from the best-validation
-    /// parameters. The training table runs over the fitted graph (§3.7);
-    /// an unseen table gets its own graph, the GNN adjacency is rebound to
-    /// it, and its seed-deterministic FastText features are recomputed.
-    /// `None` when an unseen table cannot be embedded: EMBDI and random
-    /// features are transductive.
-    fn embed(&mut self, table: &Table, seen: bool, trace: &mut Trace<'_>) -> Option<Embedded> {
-        if seen {
-            if self.needs_rebind {
-                self.gnn.rebind(&self.graph);
-                self.needs_rebind = false;
-            }
-            if let Some(best) = &self.best_params {
-                self.tape.restore_param_values(best);
-            }
-            let h0 = self.gnn.forward(&mut self.tape, self.x);
-            let h = self.merge.forward(&mut self.tape, h0);
-            return Some(Embedded { unseen: None, h });
+    /// One forward pass of the shared layer on a fresh scratch tape that
+    /// holds the frozen parameters. The training table runs over the fitted
+    /// graph (§3.7); an unseen table gets its own graph, a copy of the GNN
+    /// bound to it, and its seed-deterministic FastText features. `None`
+    /// when an unseen table cannot be embedded: EMBDI and random features
+    /// are transductive.
+    fn embed(&self, table: &Table, seen: bool, trace: &mut Trace<'_>) -> Option<Embedded> {
+        let (features, rebound, unseen) = if seen {
+            (self.features.clone(), None, None)
+        } else {
+            let ft_seed = self.ft_seed?;
+            let mut norm = table.clone();
+            self.normalizer.apply(&mut norm);
+            let graph = TableGraph::build_traced(&norm, self.config.graph, &[], trace);
+            let mut gnn = self.gnn.clone();
+            gnn.rebind(&graph);
+            let features = fasttext_features(&graph, self.config.feature_dim, ft_seed);
+            let x = Tensor::from_vec(
+                graph.n_nodes(),
+                self.config.feature_dim,
+                features.node_matrix,
+            );
+            (x, Some(gnn), Some((norm, graph)))
+        };
+        // A backend per call: a parallel backend's pool runs one job at a
+        // time, so concurrent calls must not share one.
+        let mut tape = Tape::new();
+        tape.set_backend(self.config.backend);
+        for p in &self.params {
+            tape.input(p.clone());
         }
-        let ft_seed = self.ft_seed?;
-        if let Some(best) = &self.best_params {
-            self.tape.restore_param_values(best);
-        }
-        let mut norm = table.clone();
-        self.normalizer.apply(&mut norm);
-        let graph = TableGraph::build_traced(&norm, self.config.graph, &[], trace);
-        self.gnn.rebind(&graph);
-        self.needs_rebind = true;
-        let features = fasttext_features(&graph, self.config.feature_dim, ft_seed);
-        let x = self.tape.input(Tensor::from_vec(
-            graph.n_nodes(),
-            self.config.feature_dim,
-            features.node_matrix,
-        ));
-        let h0 = self.gnn.forward(&mut self.tape, x);
-        let h = self.merge.forward(&mut self.tape, h0);
-        Some(Embedded {
-            unseen: Some((norm, graph)),
-            h,
-        })
+        let x = tape.input(features);
+        let h0 = rebound.as_ref().unwrap_or(&self.gnn).forward(&mut tape, x);
+        let h = self.merge.forward(&mut tape, h0);
+        Some(Embedded { tape, h, unseen })
     }
 
     /// Fill every missing cell of `table`: GNN-tier columns by per-column
@@ -394,10 +370,10 @@ impl FittedModel {
     /// their ladder tier using `table`'s own statistics. Categorical
     /// predictions on an unseen table are mapped through the training
     /// dictionaries into the table's own dictionaries.
-    fn impute_table(&mut self, table: &Table, trace: &mut Trace<'_>) -> Result<Table, GrimpError> {
+    fn impute_table(&self, table: &Table, trace: &mut Trace<'_>) -> Result<Table, GrimpError> {
         let seen = self.is_training_table(table)?;
         let mut result = table.clone();
-        let embedded = if self.report.column_tiers.contains(&ColumnTier::Gnn) {
+        let mut embedded = if self.report.column_tiers.contains(&ColumnTier::Gnn) {
             self.embed(table, seen, trace)
         } else {
             None
@@ -410,15 +386,15 @@ impl FittedModel {
             if missing.is_empty() {
                 continue;
             }
-            match (self.report.column_tiers[j], &embedded) {
+            match (self.report.column_tiers[j], embedded.as_mut()) {
                 (ColumnTier::Gnn, Some(embedded)) => {
                     let (norm, graph) = match &embedded.unseen {
                         Some((norm, graph)) => (norm, graph),
                         None => (&self.norm, &self.graph),
                     };
                     let batch = VectorBatch::build(graph, norm, &missing, self.config.embed_dim);
-                    let out = task.forward(&mut self.tape, embedded.h, &batch);
-                    let out_t = self.tape.value(out);
+                    let out = task.forward(&mut embedded.tape, embedded.h, &batch);
+                    let out_t = embedded.tape.value(out);
                     match table.schema().column(j).kind {
                         ColumnKind::Categorical => {
                             // GNN-tier categoricals have ≥ 2 dictionary
@@ -457,9 +433,6 @@ impl FittedModel {
                 (tier, _) => fill_column_from_ladder(&mut result, table, j, tier),
             }
             trace.counter(names::IMPUTED_CELLS, j as u64, missing.len() as u64);
-        }
-        if embedded.is_some() {
-            self.tape.reset();
         }
         Ok(result)
     }
@@ -622,9 +595,6 @@ pub(crate) struct TaskNet {
     train_batches: Vec<Option<TaskBatch>>,
     val_batches: Vec<Option<TaskBatch>>,
     sampled: Option<SampledTraining>,
-    /// The GNN was last bound to a per-epoch sampled adjacency, so
-    /// imputation must rebind it to the full graph first.
-    adjacency_sampled: bool,
     /// Key of the sampled mode's per-epoch draws.
     seed: u64,
     categorical_loss: CategoricalLoss,
@@ -795,7 +765,6 @@ pub(crate) fn build(
         train_batches,
         val_batches,
         sampled,
-        adjacency_sampled: false,
         seed: cfg.seed,
         categorical_loss: cfg.categorical_loss,
         #[cfg(any(test, feature = "fault-injection"))]
@@ -812,15 +781,29 @@ pub(crate) fn build(
 }
 
 impl Built {
-    /// The inference handle over this model, as training left it.
+    /// The inference handle over this model, imputing from `params` (the
+    /// tape's current values when `None`).
     pub(crate) fn into_fitted(
         self,
         train_dirty: Table,
-        best_params: Option<Vec<Tensor>>,
+        params: Option<Vec<Tensor>>,
         mut report: TrainReport,
     ) -> FittedModel {
+        let mut tape = self.tape;
         let net = self.net;
         let enc = net.enc;
+        let mut gnn = enc.gnn;
+        if net.sampled.is_some() {
+            // Sampled training leaves the GNN on an epoch's sampled
+            // adjacency; imputation aggregates over the full graph.
+            gnn.rebind(&enc.graph);
+        }
+        let params = params.unwrap_or_else(|| tape.snapshot_param_values());
+        debug_assert_eq!(
+            enc.x,
+            Var::from_index(params.len()),
+            "the trainable parameters precede the features on the tape"
+        );
         report.column_tiers = net.tiers;
         FittedModel {
             config: self.cfg,
@@ -828,14 +811,12 @@ impl Built {
             norm: enc.norm,
             train_dirty,
             graph: enc.graph,
-            tape: self.tape,
-            gnn: enc.gnn,
+            gnn,
             merge: enc.merge,
             tasks: net.tasks,
-            x: enc.x,
-            best_params,
+            params,
+            features: std::mem::replace(tape.value_mut(enc.x), Tensor::zeros(0, 0)),
             ft_seed: enc.ft_seed,
-            needs_rebind: net.adjacency_sampled,
             report,
         }
     }
@@ -852,7 +833,6 @@ impl Objective for TaskNet {
         };
         let sampled_edges = st.sampler.sample_epoch(epoch);
         self.enc.gnn.rebind_lists(st.sampler.lists());
-        self.adjacency_sampled = true;
         for (j, pool) in st.pools.iter_mut().enumerate() {
             let Some(pool) = pool else { continue };
             if self.tiers[j] != ColumnTier::Gnn {
@@ -1035,17 +1015,21 @@ pub(crate) fn restore_model(
     let admitted = admit(config, dirty, &mut trace);
     let mut built = build(admitted, fds, dirty, None, None, &mut trace);
     let report = std::mem::take(&mut built.report);
-    let mut fitted = built.into_fitted(dirty.clone(), None, report);
+    // Imputation runs from the best-validation parameters, falling back to
+    // the last epoch's for checkpoints taken before the first improvement.
+    let params = ck.best_params.as_ref().unwrap_or(&ck.params);
+    let fitted = engine::snapshot_shapes_match(&built.tape, params)
+        .then(|| built.into_fitted(dirty.clone(), Some(params.clone()), report));
     let dt = start.elapsed().as_secs_f64();
-    fitted.report.seconds = dt;
     trace.exit_with(names::FIT, 0, fit_span, dt);
     let _ = trace.flush();
-    fitted
-        .restore_checkpoint(ck)
-        .map_err(|source| GrimpError::Checkpoint {
-            path: std::path::PathBuf::from("<in-memory checkpoint>"),
-            source,
-        })?;
+    let mut fitted = fitted.ok_or_else(|| GrimpError::Checkpoint {
+        path: std::path::PathBuf::from("<in-memory checkpoint>"),
+        source: grimp_tensor::CheckpointError::Corrupt(
+            "parameter shapes do not match this model".to_string(),
+        ),
+    })?;
+    fitted.report.seconds = dt;
     Ok(fitted)
 }
 
@@ -1172,14 +1156,14 @@ impl TaskPool {
         tb.batch.refill(graph, table, scratch);
         match (&mut tb.labels, &self.labels) {
             (Labels::Cat(dst), Labels::Cat(src)) => {
-                let dst = Rc::get_mut(dst)
+                let dst = Arc::get_mut(dst)
                     .expect("refill requires the previous epoch's labels to be released");
                 for (slot, &i) in self.perm[..k].iter().enumerate() {
                     dst[slot] = src[i as usize];
                 }
             }
             (Labels::Num(dst), Labels::Num(src)) => {
-                let dst = Rc::get_mut(dst)
+                let dst = Arc::get_mut(dst)
                     .expect("refill requires the previous epoch's labels to be released");
                 for (slot, &i) in self.perm[..k].iter().enumerate() {
                     dst[slot] = src[i as usize];
@@ -1279,13 +1263,13 @@ fn task_batch(
 /// The labels of task `j`'s samples, in order.
 fn labels_of(table: &Table, j: usize, samples: &[&TrainingSample]) -> Labels {
     match table.schema().column(j).kind {
-        ColumnKind::Categorical => Labels::Cat(Rc::new(
+        ColumnKind::Categorical => Labels::Cat(Arc::new(
             samples
                 .iter()
                 .map(|s| s.label.as_cat().expect("categorical label"))
                 .collect(),
         )),
-        ColumnKind::Numerical => Labels::Num(Rc::new(
+        ColumnKind::Numerical => Labels::Num(Arc::new(
             samples
                 .iter()
                 .map(|s| s.label.as_num().expect("numerical label") as f32)
@@ -1304,10 +1288,10 @@ fn task_loss(
     let out = task.forward(tape, h, &tb.batch);
     match &tb.labels {
         Labels::Cat(targets) => match cat_loss {
-            CategoricalLoss::CrossEntropy => tape.softmax_cross_entropy(out, Rc::clone(targets)),
-            CategoricalLoss::Focal(gamma) => tape.focal_loss(out, Rc::clone(targets), gamma),
+            CategoricalLoss::CrossEntropy => tape.softmax_cross_entropy(out, Arc::clone(targets)),
+            CategoricalLoss::Focal(gamma) => tape.focal_loss(out, Arc::clone(targets), gamma),
         },
-        Labels::Num(targets) => tape.mse_loss(out, Rc::clone(targets)),
+        Labels::Num(targets) => tape.mse_loss(out, Arc::clone(targets)),
     }
 }
 
@@ -1853,7 +1837,7 @@ mod tests {
         let cfg = tiny_config(TaskKind::Attention);
         let reference = Grimp::new(cfg.clone()).fit_impute(&dirty);
         let mut sink = NullSink;
-        let mut fitted = fit_model(&cfg, &FdSet::empty(), &dirty, &mut sink).unwrap();
+        let fitted = fit_model(&cfg, &FdSet::empty(), &dirty, &mut sink).unwrap();
         let via_pipeline = fitted.impute(&dirty).unwrap();
         assert_tables_bit_identical(&reference, &via_pipeline);
         // a second impute of the same table is stable

@@ -31,7 +31,7 @@
 //!     .seed(1)
 //!     .build()
 //!     .expect("valid config");
-//! let mut fitted = Pipeline::new(config)
+//! let fitted = Pipeline::new(config)
 //!     .expect("validated")
 //!     .fit(&dirty)
 //!     .expect("non-empty schema");
@@ -247,7 +247,7 @@ mod tests {
         let mut dirty = small_table(45);
         inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(2));
         let pipeline = Pipeline::new(quick_config()).unwrap();
-        let mut fitted = pipeline.fit(&dirty).unwrap();
+        let fitted = pipeline.fit(&dirty).unwrap();
         assert!(!fitted.is_degraded());
         assert!(fitted.report().epochs_run > 0);
         let imputed = fitted.impute(&dirty).unwrap();
@@ -268,20 +268,42 @@ mod tests {
             .backend(grimp_tensor::BackendKind::Parallel { threads: 2 })
             .build()
             .unwrap();
-        let mut fitted = Pipeline::new(cfg).unwrap().fit(&dirty).unwrap();
+        let fitted = Pipeline::new(cfg).unwrap().fit(&dirty).unwrap();
         assert_eq!(fitted.report().backend_threads, 2);
         let imputed = fitted.impute(&dirty).unwrap();
         assert_eq!(imputed.n_missing(), 0);
     }
 
     #[test]
-    fn report_seconds_accumulate_over_imputes() {
+    fn report_seconds_time_the_fit_and_fit_impute_adds_its_impute() {
+        use grimp_obs::{names, EventKind, MemorySink};
+        let span = |sink: &MemorySink, name: &str| -> f64 {
+            let mut exits = sink.events().iter();
+            exits
+                .find(|e| e.kind == EventKind::SpanExit && e.name == name)
+                .map_or(0.0, |e| e.value)
+        };
         let mut dirty = small_table(30);
         inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(3));
-        let mut fitted = Pipeline::new(quick_config()).unwrap().fit(&dirty).unwrap();
-        let after_fit = fitted.report().seconds;
-        let _ = fitted.impute(&dirty);
-        assert!(fitted.report().seconds > after_fit);
+
+        // A fitted model's report times its fit; imputes leave it alone.
+        let mut sink = MemorySink::new();
+        let pipeline = Pipeline::new(quick_config()).unwrap();
+        let fitted = pipeline.fit_traced(&dirty, &mut sink).unwrap();
+        let fit = span(&sink, names::FIT);
+        assert_eq!(fitted.report().seconds.to_bits(), fit.to_bits());
+        fitted.impute_traced(&dirty, &mut sink).unwrap();
+        assert!(span(&sink, names::IMPUTE) > 0.0);
+        assert_eq!(fitted.report().seconds.to_bits(), fit.to_bits());
+        let replayed = crate::TrainReport::from_events(sink.events());
+        assert_eq!(replayed.seconds.to_bits(), fit.to_bits());
+
+        // `Grimp::fit_impute`'s report covers its fit and its one impute.
+        let mut sink = MemorySink::new();
+        let mut grimp = crate::Grimp::new(quick_config());
+        grimp.fit_impute_traced(&dirty, &mut sink);
+        let seconds = grimp.last_report().unwrap().seconds;
+        assert!(seconds >= span(&sink, names::FIT) + span(&sink, names::IMPUTE));
     }
 
     #[test]
@@ -294,12 +316,12 @@ mod tests {
             ..quick_config()
         };
         let pipeline = Pipeline::new(cfg).unwrap();
-        let mut fitted = pipeline.fit(&dirty).unwrap();
+        let fitted = pipeline.fit(&dirty).unwrap();
         let want = fitted.impute(&dirty).unwrap();
 
         let ck = TrainCheckpoint::load(&dir.join(crate::checkpoint::CHECKPOINT_FILE))
             .expect("final checkpoint written");
-        let mut restored = pipeline.restore(&dirty, &ck).expect("restores");
+        let restored = pipeline.restore(&dirty, &ck).expect("restores");
         assert_eq!(restored.report().epochs_run, 0, "restore never trains");
         let got = restored.impute(&dirty).unwrap();
         assert_eq!(got, want, "restored model must impute identically");

@@ -8,7 +8,7 @@
 //! (fixed selection weights, four strategies) pooled by `m`, scoring the
 //! training-vector slots, whose softmax-weighted sum feeds the output layer.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::Rng;
 
@@ -120,52 +120,51 @@ impl Task {
         let Task::Attention { q, k, .. } = self else {
             return None;
         };
-        let v = tape.gather_rows(h, Rc::clone(&batch.idx));
-        let mask = tape.input(batch.mask.clone());
-        let v = tape.mul_elem(v, mask);
-        let k_in = tape.input(k.clone());
-        let kq = tape.matmul(k_in, *q);
-        let m = tape.input(Tensor::full(1, batch.n_cols, 1.0 / batch.n_cols as f32));
-        let s = tape.matmul(m, kq);
-        let st = tape.reshape(s, batch.dim, 1);
-        let scores = tape.matmul(v, st);
-        let scores = tape.reshape(scores, batch.n, batch.n_cols);
-        let scores = tape.scale(scores, 1.0 / (batch.dim as f32).sqrt());
-        let bias = tape.input(batch.score_bias.clone());
-        let scores = tape.add(scores, bias);
-        Some(tape.row_softmax(scores))
+        let v = slots(tape, h, batch);
+        Some(attention(tape, *q, k, v, batch))
     }
 
     /// Forward pass: from the node-embedding matrix `h` (shared-layer
     /// output, `n_nodes × D`) and a batch, produce `N × out` logits (or
     /// `N × 1` regression outputs).
     pub fn forward(&self, tape: &mut Tape, h: Var, batch: &VectorBatch) -> Var {
-        let v = tape.gather_rows(h, Rc::clone(&batch.idx));
-        let mask = tape.input(batch.mask.clone());
-        let v = tape.mul_elem(v, mask);
+        let v = slots(tape, h, batch);
         match self {
             Task::Linear { mlp } => {
                 let flat = tape.reshape(v, batch.n, batch.n_cols * batch.dim);
                 mlp.forward(tape, flat)
             }
             Task::Attention { q, k, out } => {
-                // s_A = m · (K_A Q_A); m pools with weight 1/C for scale.
-                let k_in = tape.input(k.clone());
-                let kq = tape.matmul(k_in, *q);
-                let m = tape.input(Tensor::full(1, batch.n_cols, 1.0 / batch.n_cols as f32));
-                let s = tape.matmul(m, kq); // 1 × D
-                let st = tape.reshape(s, batch.dim, 1);
-                let scores = tape.matmul(v, st); // (N·C) × 1
-                let scores = tape.reshape(scores, batch.n, batch.n_cols);
-                let scores = tape.scale(scores, 1.0 / (batch.dim as f32).sqrt());
-                let bias = tape.input(batch.score_bias.clone());
-                let scores = tape.add(scores, bias);
-                let alpha = tape.row_softmax(scores);
+                let alpha = attention(tape, *q, k, v, batch);
                 let ctx = tape.block_weighted_sum(v, alpha);
                 out.forward(tape, ctx)
             }
         }
     }
+}
+
+/// The batch's training vectors: `(N·C) × D` rows gathered from `h`, with
+/// masked slots zeroed.
+fn slots(tape: &mut Tape, h: Var, batch: &VectorBatch) -> Var {
+    let v = tape.gather_rows(h, Arc::clone(&batch.idx));
+    let mask = tape.input(batch.mask.clone());
+    tape.mul_elem(v, mask)
+}
+
+/// Attention weights (`N × C`) of the slots `v` under `Q_A` and `K_A`.
+fn attention(tape: &mut Tape, q: Var, k: &Tensor, v: Var, batch: &VectorBatch) -> Var {
+    // s_A = m · (K_A Q_A); m pools with weight 1/C for scale.
+    let k_in = tape.input(k.clone());
+    let kq = tape.matmul(k_in, q);
+    let m = tape.input(Tensor::full(1, batch.n_cols, 1.0 / batch.n_cols as f32));
+    let s = tape.matmul(m, kq); // 1 × D
+    let st = tape.reshape(s, batch.dim, 1);
+    let scores = tape.matmul(v, st); // (N·C) × 1
+    let scores = tape.reshape(scores, batch.n, batch.n_cols);
+    let scores = tape.scale(scores, 1.0 / (batch.dim as f32).sqrt());
+    let bias = tape.input(batch.score_bias.clone());
+    let scores = tape.add(scores, bias);
+    tape.row_softmax(scores)
 }
 
 #[cfg(test)]
@@ -282,7 +281,7 @@ mod tests {
         tape.freeze();
         let mut adam = grimp_tensor::Adam::new(0.05);
         let batch = VectorBatch::build(&g, &t, &[(0, 0), (1, 0)], dim);
-        let labels = Rc::new(vec![0u32, 1]);
+        let labels = Arc::new(vec![0u32, 1]);
         let mut last = f32::INFINITY;
         for _ in 0..200 {
             let h = tape.input(h_data.clone());

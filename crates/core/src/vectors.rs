@@ -7,7 +7,7 @@
 //! `N × C` additive bias of `-1e9` keeps masked slots out of the attention
 //! softmax.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use grimp_graph::TableGraph;
 use grimp_table::Table;
@@ -27,7 +27,7 @@ pub struct VectorBatch {
     pub dim: usize,
     /// `N·C` gather indices into the node-embedding matrix (masked slots
     /// point at node 0 and are zeroed by `mask`).
-    pub idx: Rc<Vec<u32>>,
+    pub idx: Arc<Vec<u32>>,
     /// `(N·C) × D` multiplicative 0/1 mask.
     pub mask: Tensor,
     /// `N × C` additive attention-score bias (0 for live slots,
@@ -75,7 +75,7 @@ impl VectorBatch {
             n,
             n_cols,
             dim,
-            idx: Rc::new(idx),
+            idx: Arc::new(idx),
             mask,
             score_bias,
         }
@@ -90,7 +90,7 @@ impl VectorBatch {
     /// — the sampled training path refills each task's fixed-shape batch
     /// every epoch so tensor shapes (and the tape workspace keyed on them)
     /// never change. No allocation happens: the gather indices are mutated
-    /// through [`Rc::get_mut`], which requires that every tape-held clone of
+    /// through [`Arc::get_mut`], which requires that every tape-held clone of
     /// the previous epoch's `idx` has been dropped (`tape.reset()` does
     /// that). Panics if the batch is still aliased or `samples.len() != n`.
     pub fn refill(&mut self, graph: &TableGraph, table: &Table, samples: &[(usize, usize)]) {
@@ -99,7 +99,7 @@ impl VectorBatch {
             self.n,
             "refill must keep the batch size fixed"
         );
-        let idx = Rc::get_mut(&mut self.idx)
+        let idx = Arc::get_mut(&mut self.idx)
             .expect("refill requires the previous epoch's gather indices to be released");
         let n_cols = self.n_cols;
         for (s, &(row, target_col)) in samples.iter().enumerate() {

@@ -73,7 +73,7 @@ fn run_sampled(
     cfg.checkpoint_dir = Some(dir.clone());
     cfg.sampler = sampler;
     let pipeline = Pipeline::new(cfg).expect("valid config");
-    let mut fitted = pipeline.fit(dirty).expect("fit");
+    let fitted = pipeline.fit(dirty).expect("fit");
     let imputed = fitted.impute(dirty).expect("impute");
     let report = fitted.report();
     assert_eq!(report.backend_threads, kind.threads());

@@ -36,7 +36,7 @@ fn chaos_config() -> GrimpConfig {
 fn run_scenario(s: &Scenario) -> (TrainReport, usize) {
     let mut sink = MemorySink::new();
     let pipeline = Pipeline::new(chaos_config()).expect("validated");
-    let mut fitted = pipeline
+    let fitted = pipeline
         .fit_traced(&s.table, &mut sink)
         .unwrap_or_else(|e| panic!("{}: fit must not fail: {e}", s.name));
     let imputed = fitted
@@ -115,7 +115,7 @@ fn constant_tier_fills_are_the_documented_sentinels() {
     let pipeline = Pipeline::new(chaos_config()).expect("validated");
 
     let t = adversarial::all_missing_categorical();
-    let mut fitted = pipeline.fit(&t).expect("fit");
+    let fitted = pipeline.fit(&t).expect("fit");
     let imputed = fitted.impute(&t).expect("impute");
     for i in 0..t.n_rows() {
         if t.is_missing(i, 1) {
@@ -124,7 +124,7 @@ fn constant_tier_fills_are_the_documented_sentinels() {
     }
 
     let t = adversarial::all_missing_numerical();
-    let mut fitted = pipeline.fit(&t).expect("fit");
+    let fitted = pipeline.fit(&t).expect("fit");
     let imputed = fitted.impute(&t).expect("impute");
     for i in 0..t.n_rows() {
         if t.is_missing(i, 1) {

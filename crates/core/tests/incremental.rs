@@ -517,7 +517,7 @@ fn unseen_categories_at_impute_take_the_ladder_not_an_error() {
     let mut cfg = incr_config(&dir);
     cfg.features = grimp_graph::FeatureSource::Random;
     let pipeline = Pipeline::new(cfg).expect("validated");
-    let mut fitted = pipeline.fit(&base).expect("fit");
+    let fitted = pipeline.fit(&base).expect("fit");
 
     let mut unseen = base.clone();
     unseen.push_str_row(&[Some("k-never-seen"), None, Some("7.5")]);

@@ -1,12 +1,15 @@
 //! Inductive reuse of a fitted model (paper §7, future work #4): once
 //! trained, a [`FittedModel`] imputes schema-compatible tables it has never
-//! seen — the graph is rebuilt over the new rows, the GNN is rebound to it,
-//! and the seed-deterministic FastText features map equal value texts to
-//! equal vectors — and exposes each task's learned attention profile.
+//! seen — the graph is rebuilt over the new rows, a copy of the GNN is
+//! bound to it, and the seed-deterministic FastText features map equal
+//! value texts to equal vectors — and exposes each task's learned attention
+//! profile. The model is immutable, so threads can share it.
+
+use std::sync::{Arc, Barrier};
 
 use grimp::{FittedModel, GrimpConfig, GrimpError, Pipeline, TaskKind};
 use grimp_graph::FeatureSource;
-use grimp_table::{check_imputation_contract, inject_mcar, ColumnKind, Schema, Table};
+use grimp_table::{check_imputation_contract, inject_mcar, ColumnKind, Schema, Table, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -65,7 +68,7 @@ fn dirty(n: usize, offset: usize, rate: f64, seed: u64) -> Table {
 #[test]
 fn fitted_model_transfers_to_disjoint_unseen_tuples() {
     // train on one sample of the distribution, impute a fresh one
-    let mut model = fit(config(), &dirty(80, 0, 0.1, 2));
+    let model = fit(config(), &dirty(80, 0, 0.1, 2));
     let test_clean = functional_table(60, 1);
     let mut test_dirty = test_clean.clone();
     let log = inject_mcar(&mut test_dirty, 0.15, &mut StdRng::seed_from_u64(3));
@@ -83,7 +86,7 @@ fn fitted_model_transfers_to_disjoint_unseen_tuples() {
 #[test]
 fn repeated_unseen_imputes_are_stable() {
     let train = dirty(50, 0, 0.1, 4);
-    let mut model = fit(config(), &train);
+    let model = fit(config(), &train);
     let unseen = dirty(30, 2, 0.15, 5);
     let first = model.impute(&unseen).unwrap();
     assert_eq!(first, model.impute(&unseen).unwrap());
@@ -94,7 +97,7 @@ fn repeated_unseen_imputes_are_stable() {
 
 #[test]
 fn unseen_tables_of_another_schema_are_a_typed_error() {
-    let mut model = fit(
+    let model = fit(
         GrimpConfig {
             max_epochs: 3,
             ..config()
@@ -119,7 +122,7 @@ fn attention_profile_reveals_the_informative_column() {
     // (masked) slot must be ~0 — on the training table and on an unseen one
     // alike.
     let train = dirty(80, 0, 0.05, 7);
-    let mut model = fit(config(), &train);
+    let model = fit(config(), &train);
     for table in [&train, &functional_table(40, 3)] {
         let profiles = model.attention_profile(table, 50).unwrap();
         assert_eq!(profiles.len(), 3);
@@ -142,7 +145,7 @@ fn attention_profile_reveals_the_informative_column() {
 #[test]
 fn transductive_features_cannot_profile_unseen_tables() {
     let train = dirty(30, 0, 0.1, 6);
-    let mut model = fit(
+    let model = fit(
         GrimpConfig {
             max_epochs: 3,
             ..config().with_features(FeatureSource::Random)
@@ -154,4 +157,82 @@ fn transductive_features_cannot_profile_unseen_tables() {
         model.attention_profile(&functional_table(20, 1), 10),
         Err(GrimpError::InductiveUnsupported)
     ));
+}
+
+/// Every cell of `t`, numericals by their bit pattern.
+fn cell_bits(t: &Table) -> Vec<String> {
+    let mut cells = Vec::new();
+    for i in 0..t.n_rows() {
+        for j in 0..t.n_columns() {
+            cells.push(match t.get(i, j) {
+                Value::Num(x) => format!("num {:#x}", x.to_bits()),
+                _ => format!("{:?}", t.display(i, j)),
+            });
+        }
+    }
+    cells
+}
+
+#[test]
+fn fitted_model_is_send_and_sync() {
+    fn shareable<T: Send + Sync>() {}
+    shareable::<FittedModel>();
+}
+
+#[test]
+fn neighbor_capped_training_imputes_ignore_unseen_imputes_in_between() {
+    // The cap is drawn once at fit time; imputing an unseen table binds a
+    // copy of the GNN to that table's graph and leaves the fitted one be.
+    let cfg = GrimpConfig {
+        gnn: grimp_gnn::GnnConfig {
+            neighbor_cap: Some(2),
+            ..config().gnn
+        },
+        ..config()
+    };
+    let train = dirty(80, 0, 0.2, 2);
+    let model = fit(cfg, &train);
+    let before = model.impute(&train).unwrap();
+    model.impute(&dirty(40, 1, 0.2, 3)).unwrap();
+    let after = model.impute(&train).unwrap();
+    assert_eq!(cell_bits(&before), cell_bits(&after));
+}
+
+#[test]
+fn four_threads_share_one_model_bit_for_bit() {
+    let train = dirty(60, 0, 0.1, 8);
+    let model = Arc::new(fit(config(), &train));
+    let unseen: Vec<Table> = (0..4)
+        .map(|t| dirty(24 + 4 * t, t + 1, 0.15, 20 + t as u64))
+        .collect();
+    type Outputs = (Vec<String>, Vec<String>, Vec<Option<Vec<u32>>>);
+    let run = |model: &FittedModel, unseen: &Table| -> Outputs {
+        let profile = model.attention_profile(unseen, 20).unwrap();
+        (
+            cell_bits(&model.impute(&train).unwrap()),
+            cell_bits(&model.impute(unseen).unwrap()),
+            profile
+                .into_iter()
+                .map(|p| p.map(|p| p.iter().map(|v| v.to_bits()).collect()))
+                .collect(),
+        )
+    };
+    let sequential: Vec<Outputs> = unseen.iter().map(|u| run(&model, u)).collect();
+    let barrier = Barrier::new(unseen.len());
+    let concurrent: Vec<Outputs> = std::thread::scope(|scope| {
+        let handles: Vec<_> = unseen
+            .iter()
+            .map(|u| {
+                let (model, barrier, run) = (Arc::clone(&model), &barrier, &run);
+                scope.spawn(move || {
+                    barrier.wait();
+                    run(&model, u)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (t, (got, want)) in concurrent.iter().zip(&sequential).enumerate() {
+        assert!(got == want, "thread {t} diverged from the sequential run");
+    }
 }

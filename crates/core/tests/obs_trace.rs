@@ -52,7 +52,7 @@ fn quick_config() -> GrimpConfig {
 fn traced_run(seed_table: &Table) -> (TrainReport, Vec<Event>) {
     let mut sink = MemorySink::new();
     let pipeline = Pipeline::new(quick_config()).expect("validated");
-    let mut fitted = pipeline
+    let fitted = pipeline
         .fit_traced(seed_table, &mut sink)
         .expect("table has columns");
     let _ = fitted.impute_traced(seed_table, &mut sink);
@@ -214,7 +214,7 @@ fn jsonl_trace_round_trips_through_the_hand_rolled_parser() {
     {
         let mut sink = JsonlSink::create(&path).expect("create trace file");
         let pipeline = Pipeline::new(quick_config()).expect("validated");
-        let mut fitted = pipeline
+        let fitted = pipeline
             .fit_traced(&dirty, &mut sink)
             .expect("table has columns");
         let _ = fitted.impute_traced(&dirty, &mut sink);

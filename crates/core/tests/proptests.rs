@@ -168,7 +168,7 @@ proptest! {
             "fit failed: {}",
             fit.as_ref().err().map_or(String::new(), |e| e.to_string())
         );
-        let Ok(mut fitted) = fit else { unreachable!() };
+        let Ok(fitted) = fit else { unreachable!() };
         let imputation = fitted.impute(&t);
         prop_assert!(
             imputation.is_ok(),
@@ -219,7 +219,7 @@ proptest! {
             "fit failed: {}",
             fit.as_ref().err().map_or(String::new(), |e| e.to_string())
         );
-        let Ok(mut fitted) = fit else { unreachable!() };
+        let Ok(fitted) = fit else { unreachable!() };
         let imputation = fitted.impute(&t);
         prop_assert!(
             imputation.is_ok(),

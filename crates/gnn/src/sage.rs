@@ -15,7 +15,7 @@
 //! Weights are **not** shared across sub-modules ("allows some independence
 //! between each column").
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use rand::{Rng, SeedableRng};
 
@@ -114,7 +114,7 @@ impl Module {
                 w_neigh,
                 bias,
             } => {
-                let neigh = tape.scatter_mean(h, Rc::clone(&adj.mean));
+                let neigh = tape.scatter_mean(h, Arc::clone(&adj.mean));
                 let self_part = tape.matmul(h, *w_self);
                 let neigh_part = tape.matmul(neigh, *w_neigh);
                 let sum = tape.add(self_part, neigh_part);
@@ -122,7 +122,7 @@ impl Module {
             }
             Module::Gcn { w, bias } => {
                 let agg =
-                    tape.scatter_weighted(h, Rc::clone(&adj.gcn), Rc::clone(&adj.gcn_weights));
+                    tape.scatter_weighted(h, Arc::clone(&adj.gcn), Arc::clone(&adj.gcn_weights));
                 let z = tape.matmul(agg, *w);
                 tape.add_row_broadcast(z, *bias)
             }
@@ -140,10 +140,22 @@ impl Module {
 /// Per-edge-type aggregation structures: the plain neighbor lists for
 /// GraphSAGE's mean, and the self-looped symmetric-normalized version for
 /// GCN.
+#[derive(Clone)]
 struct TypeAdjacency {
-    mean: Rc<Adjacency>,
-    gcn: Rc<Adjacency>,
-    gcn_weights: Rc<Vec<f32>>,
+    mean: Arc<Adjacency>,
+    gcn: Arc<Adjacency>,
+    gcn_weights: Arc<Vec<f32>>,
+}
+
+impl TypeAdjacency {
+    fn new(lists: &[Vec<u32>]) -> Self {
+        let (gcn, gcn_weights) = gcn_normalize(lists);
+        TypeAdjacency {
+            mean: Arc::new(Adjacency::from_lists(lists)),
+            gcn: Arc::new(gcn),
+            gcn_weights: Arc::new(gcn_weights),
+        }
+    }
 }
 
 /// Append self-loops and compute `1/sqrt((d_i+1)(d_j+1))` edge weights.
@@ -185,18 +197,16 @@ fn build_adjacencies(
                     }
                 }
             }
-            let (gcn, gcn_weights) = gcn_normalize(&lists);
-            TypeAdjacency {
-                mean: Rc::new(Adjacency::from_lists(&lists)),
-                gcn: Rc::new(gcn),
-                gcn_weights: Rc::new(gcn_weights),
-            }
+            TypeAdjacency::new(&lists)
         })
         .collect()
 }
 
 /// The heterogeneous GNN: `layers × edge_types` GraphSAGE sub-modules plus
-/// the per-type CSR adjacencies of one table graph.
+/// the per-type CSR adjacencies of one table graph. A clone shares the
+/// adjacencies and the parameter handles, so rebinding a clone to another
+/// graph leaves the original bound to its own.
+#[derive(Clone)]
 pub struct HeteroSage {
     modules: Vec<Vec<Module>>,
     adj: Vec<TypeAdjacency>,
@@ -268,14 +278,7 @@ impl HeteroSage {
         );
         self.adj = per_type
             .iter()
-            .map(|lists| {
-                let (gcn, gcn_weights) = gcn_normalize(lists);
-                TypeAdjacency {
-                    mean: Rc::new(Adjacency::from_lists(lists)),
-                    gcn: Rc::new(gcn),
-                    gcn_weights: Rc::new(gcn_weights),
-                }
-            })
+            .map(|lists| TypeAdjacency::new(lists))
             .collect();
     }
 

@@ -427,8 +427,9 @@ pub mod names {
     /// value = jittered sleep in milliseconds).
     pub const RELOAD_POLL: &str = "reload_poll";
     /// A worker caught a handler panic: the request was answered `500`
-    /// and the worker's replica was quarantined and rebuilt (counter,
-    /// index = request id, value = 1).
+    /// and only its scratch was dropped — the shared served model is
+    /// immutable and stays in service (counter, index = request id,
+    /// value = 1).
     pub const WORKER_PANIC: &str = "worker_panic";
     /// A replayed `Idempotency-Key` was answered from the journal instead
     /// of re-appending (counter, index = request id, value = 1).

@@ -25,10 +25,12 @@
 //!   queued and in-flight requests finish within a drain deadline, and
 //!   [`Server::run`] reports whether the drain was clean.
 //! - **Hot reload.** A watcher thread polls the checkpoint file (with a
-//!   deterministic per-seed jitter so replica fleets do not poll in
+//!   deterministic per-seed jitter so server fleets do not poll in
 //!   lockstep); when the trainer rotates a new generation in
-//!   (CRC-validated), workers rebuild their model between requests —
-//!   in-flight requests always finish on the model they started with.
+//!   (CRC-validated), the watcher restores its model once, off the request
+//!   path, and swaps it in — in-flight requests always finish on the model
+//!   they started with, and a generation that fails to restore never
+//!   replaces the last good one.
 //! - **Incremental append.** `POST /append` pushes CSV rows through the
 //!   WAL-backed incremental pipeline ([`Pipeline::append`]): the rows are
 //!   durable before any model work, the base checkpoint is fine-tuned,
@@ -38,11 +40,11 @@
 //!   values (a refit cannot be recovered after a crash — that flow
 //!   belongs to the offline `grimp append`).
 //! - **Panic isolation.** Every handler runs under `catch_unwind`: a
-//!   panicking request is answered `500`, the worker's replica is
-//!   quarantined and rebuilt from the shared snapshot (never reused
-//!   half-mutated — that is what makes the handler unwind-safe), and the
-//!   pool keeps its size. Counted as `panics`/`workers_replaced` in
-//!   `/stats` and the [`DrainReport`], traced as `worker_panic`.
+//!   panicking request is answered `500` and the pool keeps its size. The
+//!   served model is immutable, so the unwind drops only that request's
+//!   scratch (tape, graph, buffers) — that is what makes the handler
+//!   unwind-safe. Counted as `panics` in `/stats` and the [`DrainReport`],
+//!   traced as `worker_panic`.
 //! - **Idempotent append.** An `Idempotency-Key` request header is
 //!   journaled durably next to the WAL ([`idem`]) before any model work;
 //!   a replayed key returns the recorded outcome instead of re-appending,
@@ -52,10 +54,11 @@
 //!   append state, and failed-reload memoization, going `503` while an
 //!   append holds the gate or a drain is underway.
 //!
-//! [`FittedModel`] is intentionally `!Send` (its tape shares `Rc` label
-//! buffers), so no model ever crosses a thread: each worker restores its
-//! own replica from the shared checkpoint bytes via [`Pipeline::restore`],
-//! and hot reload is just "the bytes changed, restore again".
+//! [`FittedModel`] is immutable and `Send + Sync`, so the server holds one
+//! model per checkpoint generation behind an `Arc`: whatever moves the
+//! generation (bind, the watcher, `/append`) restores it once through
+//! [`Pipeline::restore_traced`] into the server's sink, and every worker
+//! imputes through it on a scratch tape of its own.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
@@ -97,7 +100,7 @@ pub const FAULT_PANIC_ENV: &str = "GRIMP_FAULT_PANIC";
 pub struct ServeConfig {
     /// Address to bind, e.g. `127.0.0.1:0` (port 0 picks a free port).
     pub addr: String,
-    /// Worker threads, each holding its own restored model replica.
+    /// Worker threads, all sharing the served model generation.
     pub workers: usize,
     /// Accepted connections allowed to wait for a worker; beyond this the
     /// accept loop sheds with `503 + Retry-After`.
@@ -117,7 +120,7 @@ pub struct ServeConfig {
     /// How often the watcher polls the checkpoint file for a new
     /// generation. Each poll adds a deterministic jitter of up to a
     /// quarter of this interval, derived from `seed` and the poll count,
-    /// so a fleet of replicas started together does not stampede the
+    /// so a fleet of servers started together does not stampede the
     /// filesystem in lockstep — yet every run is reproducible.
     pub reload_poll: Duration,
     /// Seed for the watcher's poll jitter (and any future randomized
@@ -127,7 +130,7 @@ pub struct ServeConfig {
     pub fault: Option<SocketFaultPlan>,
     /// Expose `POST /panic`, which panics inside the handler — the chaos
     /// harness's deterministic probe that panic isolation answers `500`,
-    /// rebuilds the replica, and never kills the worker. Off by default;
+    /// keeps the served model, and never kills the worker. Off by default;
     /// the CLI enables it only under [`FAULT_PANIC_ENV`].
     pub panic_route: bool,
 }
@@ -186,8 +189,6 @@ pub struct DrainReport {
     /// Handler panics caught and answered `500` (the process survived
     /// every one of them).
     pub panics: u64,
-    /// Worker replicas quarantined and rebuilt after a caught panic.
-    pub workers_replaced: u64,
 }
 
 /// An [`EventSink`] shareable across the accept loop, workers, and the
@@ -244,17 +245,18 @@ struct Counters {
     reloads: AtomicU64,
     appends: AtomicU64,
     panics: AtomicU64,
-    workers_replaced: AtomicU64,
 }
 
-/// The served model generation: checkpoint bytes plus the table the
-/// replicas restore against. Swapped together — after an append, the
-/// fine-tuned checkpoint only matches the *grown* table.
+/// The served model generation: checkpoint bytes, the table they restore
+/// against, and the model restored from the two. Swapped together — after
+/// an append, the fine-tuned checkpoint only matches the *grown* table.
 struct Current {
-    /// Current checkpoint bytes (CRC-validated before the swap).
-    blob: Arc<Vec<u8>>,
+    /// Checkpoint bytes of the served model.
+    blob: Vec<u8>,
     /// The table the served model was fitted on.
     train: Arc<Table>,
+    /// The served model, shared by every worker.
+    model: Arc<FittedModel>,
 }
 
 /// State shared by the accept loop, workers, and the watcher thread.
@@ -278,9 +280,9 @@ struct Shared {
     /// (atomic whole-file writes), so the cached copy is dropped and
     /// reloaded rather than trusted after a poisoning.
     append_gate: Mutex<Option<idem::Journal>>,
-    /// Readiness memoization of the last reload that failed to restore:
-    /// `generation + 1` of the bad rotation, `0` when the latest
-    /// generation restored fine. Reported by `GET /readyz`.
+    /// Readiness memoization of the last rotation that failed to restore:
+    /// `g + 1` for the generation `g` it would have become, `0` once a
+    /// later generation restored fine. Reported by `GET /readyz`.
     failed_reload: AtomicU64,
     counters: Counters,
     sink: SharedSink,
@@ -292,13 +294,10 @@ impl Shared {
         self.queue.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn current_snapshot(&self) -> (u64, Arc<Vec<u8>>, Arc<Table>) {
-        let guard = self.current.lock().unwrap_or_else(|p| p.into_inner());
-        (
-            self.generation.load(Ordering::SeqCst),
-            Arc::clone(&guard.blob),
-            Arc::clone(&guard.train),
-        )
+    /// The served generation. Its lock is held only to read or swap the
+    /// `Arc`s, never across a restore or an impute.
+    fn current(&self) -> MutexGuard<'_, Current> {
+        self.current.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -310,8 +309,8 @@ pub struct Server {
 
 impl Server {
     /// Bind the listener, load and CRC-validate the current checkpoint,
-    /// and restore one throwaway model replica to fail fast on a
-    /// checkpoint that does not match the pipeline/table.
+    /// and restore the served model from it — so a checkpoint that does
+    /// not match the pipeline/table fails fast.
     ///
     /// # Errors
     /// [`GrimpError::Checkpoint`] when the checkpoint is missing, corrupt,
@@ -333,7 +332,10 @@ impl Server {
         })?;
         // Fail fast: a shape-mismatched checkpoint must be a startup
         // error, not a 500 on the first request.
-        source.pipeline.restore(&source.train, &ck)?;
+        let sink = SharedSink::new(sink);
+        let model = source
+            .pipeline
+            .restore_traced(&source.train, &ck, &mut sink.clone())?;
 
         let bind_err = |source: std::io::Error| GrimpError::Io {
             context: format!("binding {}", cfg.addr),
@@ -342,8 +344,9 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr).map_err(&bind_err)?;
         listener.set_nonblocking(true).map_err(&bind_err)?;
         let current = Current {
-            blob: Arc::new(bytes),
+            blob: bytes,
             train: Arc::new(source.train.clone()),
+            model: Arc::new(model),
         };
         let shared = Arc::new(Shared {
             cfg,
@@ -358,7 +361,7 @@ impl Server {
             append_gate: Mutex::new(None),
             failed_reload: AtomicU64::new(0),
             counters: Counters::default(),
-            sink: SharedSink::new(sink),
+            sink,
             shutdown,
         });
         Ok(Server { listener, shared })
@@ -491,7 +494,6 @@ impl Server {
             reloads: shared.counters.reloads.load(Ordering::SeqCst),
             appends: shared.counters.appends.load(Ordering::SeqCst),
             panics: shared.counters.panics.load(Ordering::SeqCst),
-            workers_replaced: shared.counters.workers_replaced.load(Ordering::SeqCst),
         })
     }
 
@@ -597,7 +599,7 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// The deterministic extra wait added to poll number `polls`: a pure
-/// function of `(seed, polls)` in `[0, reload_poll / 4]`, so replicas
+/// function of `(seed, polls)` in `[0, reload_poll / 4]`, so servers
 /// with different seeds drift apart while any single run replays its
 /// exact poll schedule.
 fn poll_jitter(seed: u64, polls: u64, reload_poll: Duration) -> Duration {
@@ -611,6 +613,9 @@ fn poll_jitter(seed: u64, polls: u64, reload_poll: Duration) -> Duration {
 fn watcher_loop(shared: &Shared) {
     let ckpt_path = shared.source.checkpoint_dir.join(CHECKPOINT_FILE);
     let mut polls: u64 = 0;
+    // The last rotation that failed to restore, so a bad generation costs
+    // one restore attempt rather than one per poll.
+    let mut rejected: Option<Vec<u8>> = None;
     while !shared.shutdown.is_requested() && !shared.draining.load(Ordering::SeqCst) {
         // Sleep in small slices so shutdown is honored promptly even
         // with a long poll interval.
@@ -636,24 +641,38 @@ fn watcher_loop(shared: &Shared) {
             // current generation and try again next poll.
             continue;
         };
-        let changed = {
-            let guard = shared.current.lock().unwrap_or_else(|p| p.into_inner());
-            *guard.blob != bytes
+        let (generation, train) = {
+            let current = shared.current();
+            if current.blob == bytes || rejected.as_ref() == Some(&bytes) {
+                continue;
+            }
+            (
+                shared.generation.load(Ordering::SeqCst),
+                Arc::clone(&current.train),
+            )
         };
-        if !changed {
+        // CRC and structure validation happen before the restore: a torn
+        // or bit-flipped rotation never replaces a good generation.
+        let Ok(ck) = TrainCheckpoint::from_bytes(&bytes) else {
             continue;
-        }
-        // CRC and structure validation happen before the swap: a torn or
-        // bit-flipped rotation never replaces a good generation.
-        if TrainCheckpoint::from_bytes(&bytes).is_err() {
+        };
+        let Some(model) = restore(shared, &train, &ck, generation + 1) else {
+            rejected = Some(bytes);
             continue;
-        }
+        };
         let crc = crc32(&bytes);
         let generation = {
-            let mut guard = shared.current.lock().unwrap_or_else(|p| p.into_inner());
-            guard.blob = Arc::new(bytes);
+            let mut current = shared.current();
+            // An append moved the generation (and the table) while this
+            // model restored against the old one: the append's model wins.
+            if shared.generation.load(Ordering::SeqCst) != generation {
+                continue;
+            }
+            current.blob = bytes;
+            current.model = Arc::new(model);
             shared.generation.fetch_add(1, Ordering::SeqCst) + 1
         };
+        shared.failed_reload.store(0, Ordering::SeqCst);
         shared.counters.reloads.fetch_add(1, Ordering::SeqCst);
         let mut sink = shared.sink.clone();
         let mut trace = Trace::new(&mut sink);
@@ -661,18 +680,29 @@ fn watcher_loop(shared: &Shared) {
     }
 }
 
-/// A worker's current model replica, tagged with the generation it was
-/// restored from.
-struct Replica {
+/// Restore the model of generation `generation` from `ck` against `train`
+/// — once per generation, off the request path, traced into the server's
+/// sink. A checkpoint that does not restore (another table's or model's
+/// shapes, or a panic inside the restore) is memoized for `GET /readyz`,
+/// and the caller keeps serving the last good generation.
+fn restore(
+    shared: &Shared,
+    train: &Table,
+    ck: &TrainCheckpoint,
     generation: u64,
-    model: FittedModel,
+) -> Option<FittedModel> {
+    let mut sink = shared.sink.clone();
+    let restored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        shared.source.pipeline.restore_traced(train, ck, &mut sink)
+    }));
+    let model = restored.ok().and_then(Result::ok);
+    if model.is_none() {
+        shared.failed_reload.store(generation + 1, Ordering::SeqCst);
+    }
+    model
 }
 
 fn worker_loop(shared: &Shared) {
-    let mut replica: Option<Replica> = None;
-    // Remember a generation that failed to restore so a bad rotation
-    // does not trigger a rebuild attempt on every request.
-    let mut failed_generation: Option<u64> = None;
     while let Some(job) = next_job(shared) {
         let req_id = job.req_id;
         // Last-resort panic isolation: `serve_one` already catches
@@ -681,11 +711,9 @@ fn worker_loop(shared: &Shared) {
         // IO), so one poisoned request can never shrink the worker pool
         // or hang the drain waiting on a dead worker.
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve_one(shared, job, &mut replica, &mut failed_generation);
+            serve_one(shared, job);
         }));
         if caught.is_err() {
-            replica = None;
-            failed_generation = None;
             note_panic(shared, req_id);
         }
     }
@@ -698,14 +726,9 @@ fn worker_loop(shared: &Shared) {
     shared.worker_done.notify_all();
 }
 
-/// Count a caught panic (the replica was already dropped for rebuild)
-/// and put a `worker_panic` event in the trace.
+/// Count a caught panic and put a `worker_panic` event in the trace.
 fn note_panic(shared: &Shared, req_id: u64) {
     shared.counters.panics.fetch_add(1, Ordering::SeqCst);
-    shared
-        .counters
-        .workers_replaced
-        .fetch_add(1, Ordering::SeqCst);
     let mut sink = shared.sink.clone();
     let mut trace = Trace::new(&mut sink);
     trace.counter(names::WORKER_PANIC, req_id, 1);
@@ -756,12 +779,7 @@ impl Outcome {
     }
 }
 
-fn serve_one(
-    shared: &Shared,
-    mut job: Job,
-    replica: &mut Option<Replica>,
-    failed_generation: &mut Option<u64>,
-) {
+fn serve_one(shared: &Shared, mut job: Job) {
     let req_id = job.req_id;
     let queue_wait = job.accepted_at.elapsed();
     let mut sink = shared.sink.clone();
@@ -787,33 +805,18 @@ fn serve_one(
     }
     let outcome = match parsed {
         Ok(request) => {
-            // Panic isolation: any panic out of the handler (replica
-            // restore, imputation, append) unwinds to here. The worker's
-            // replica is the only state the handler mutates; it is
-            // dropped and rebuilt from the shared snapshot — never
-            // reused half-mutated — which is what makes the closure
-            // sound under `AssertUnwindSafe`.
+            // Panic isolation: any panic out of the handler (imputation,
+            // append) unwinds to here. The served model is immutable, so
+            // the unwind drops only this request's scratch — which is
+            // what makes the closure sound under `AssertUnwindSafe`.
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                route(
-                    shared,
-                    &mut trace,
-                    req_id,
-                    &request,
-                    deadline,
-                    replica,
-                    failed_generation,
-                )
+                route(shared, &mut trace, req_id, &request, deadline)
             }));
             Some(match caught {
                 Ok(outcome) => outcome,
                 Err(_panic) => {
-                    *replica = None;
-                    *failed_generation = None;
                     note_panic(shared, req_id);
-                    Outcome::text(
-                        500,
-                        "handler panicked; worker replica quarantined and rebuilt",
-                    )
+                    Outcome::text(500, "handler panicked; the served model is unaffected")
                 }
             })
         }
@@ -860,8 +863,6 @@ fn route(
     req_id: u64,
     request: &Request,
     deadline: Option<Instant>,
-    replica: &mut Option<Replica>,
-    failed_generation: &mut Option<u64>,
 ) -> Outcome {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => Outcome::text(200, "ok"),
@@ -878,15 +879,7 @@ fn route(
             }
             panic!("injected handler panic (panic route enabled)")
         }
-        ("POST", "/impute") => impute(
-            shared,
-            trace,
-            req_id,
-            request,
-            deadline,
-            replica,
-            failed_generation,
-        ),
+        ("POST", "/impute") => impute(shared, trace, req_id, request, deadline),
         ("POST", "/append") => append(shared, trace, req_id, request, deadline),
         _ => Outcome::text(
             404,
@@ -898,7 +891,7 @@ fn route(
 fn stats(shared: &Shared) -> Outcome {
     let c = &shared.counters;
     let body = format!(
-        "{{\"served\":{},\"shed\":{},\"over_budget\":{},\"client_gone\":{},\"reloads\":{},\"appends\":{},\"panics\":{},\"workers_replaced\":{},\"generation\":{}}}\n",
+        "{{\"served\":{},\"shed\":{},\"over_budget\":{},\"client_gone\":{},\"reloads\":{},\"appends\":{},\"panics\":{},\"generation\":{}}}\n",
         c.served.load(Ordering::SeqCst),
         c.shed.load(Ordering::SeqCst),
         c.over_budget.load(Ordering::SeqCst),
@@ -906,7 +899,6 @@ fn stats(shared: &Shared) -> Outcome {
         c.reloads.load(Ordering::SeqCst),
         c.appends.load(Ordering::SeqCst),
         c.panics.load(Ordering::SeqCst),
-        c.workers_replaced.load(Ordering::SeqCst),
         shared.generation.load(Ordering::SeqCst),
     );
     Outcome {
@@ -926,7 +918,7 @@ fn stats(shared: &Shared) -> Outcome {
 fn readyz(shared: &Shared) -> Outcome {
     let draining = shared.draining.load(Ordering::SeqCst);
     // Only WouldBlock means an append is actually running; a poisoned
-    // gate (a worker panicked mid-append and was rebuilt) must not leave
+    // gate (a handler panicked mid-append) must not leave
     // readiness stuck at 503 forever.
     let append_in_progress = matches!(shared.append_gate.try_lock(), Err(TryLockError::WouldBlock));
     let pending_wal = shared.source.checkpoint_dir.join(grimp::WAL_FILE).exists();
@@ -958,8 +950,6 @@ fn impute(
     req_id: u64,
     request: &Request,
     deadline: Option<Instant>,
-    replica: &mut Option<Replica>,
-    failed_generation: &mut Option<u64>,
 ) -> Outcome {
     if deadline.is_some_and(|d| Instant::now() >= d) {
         return Outcome::busy(504, "request deadline exceeded while queued");
@@ -986,15 +976,11 @@ fn impute(
         }
     }
 
-    refresh_replica(shared, replica, failed_generation);
-    let Some(replica) = replica.as_mut() else {
-        return Outcome::text(500, "no usable model generation");
-    };
-
+    let model = Arc::clone(&shared.current().model);
     if deadline.is_some_and(|d| Instant::now() >= d) {
         return Outcome::busy(504, "request deadline exceeded");
     }
-    match replica.model.impute(&table) {
+    match model.impute(&table) {
         Ok(imputed) => Outcome {
             status: 200,
             content_type: "text/csv",
@@ -1082,7 +1068,7 @@ fn append(
         }
     };
 
-    let (_, _, train) = shared.current_snapshot();
+    let train = Arc::clone(&shared.current().train);
     let names_match = rows_table.n_columns() == train.n_columns()
         && (0..train.n_columns())
             .all(|j| rows_table.schema().column(j).name == train.schema().column(j).name);
@@ -1210,7 +1196,7 @@ fn append(
 
     // The serving pipeline is structure-only; give the append run the
     // checkpoint directory so its WAL and fine-tuned generation land
-    // where the watcher and the replicas look.
+    // where the watcher looks.
     let mut cfg = shared.source.pipeline.config().clone();
     cfg.checkpoint_dir = Some(shared.source.checkpoint_dir.clone());
     let pipeline = match Pipeline::new(cfg) {
@@ -1243,19 +1229,26 @@ fn append(
                 }
             }
             crashpoint::hit(crashpoint::GENERATION_SWAP);
-            // Swap the served generation: grown table plus whatever
-            // checkpoint the append left on disk. An unreadable file is
-            // not fatal — the watcher retries — but table and blob must
-            // move together, so read it here under the same lock.
+            // Swap the served generation: the grown table, plus whatever
+            // checkpoint the append left on disk with its model, restored
+            // here once. A file that does not read or restore is not fatal
+            // — the last good model keeps serving and the watcher retries
+            // — but the table moves either way.
             let ckpt_path = shared.source.checkpoint_dir.join(CHECKPOINT_FILE);
+            let train = Arc::new(outcome.table);
+            let next = shared.generation.load(Ordering::SeqCst) + 1;
+            let rotated = std::fs::read(&ckpt_path).ok().and_then(|bytes| {
+                let ck = TrainCheckpoint::from_bytes(&bytes).ok()?;
+                Some((bytes, restore(shared, &train, &ck, next)?))
+            });
             let generation = {
-                let mut guard = shared.current.lock().unwrap_or_else(|p| p.into_inner());
-                if let Ok(bytes) = std::fs::read(&ckpt_path) {
-                    if TrainCheckpoint::from_bytes(&bytes).is_ok() {
-                        guard.blob = Arc::new(bytes);
-                    }
+                let mut current = shared.current();
+                if let Some((bytes, model)) = rotated {
+                    current.blob = bytes;
+                    current.model = Arc::new(model);
+                    shared.failed_reload.store(0, Ordering::SeqCst);
                 }
-                guard.train = Arc::new(outcome.table);
+                current.train = train;
                 shared.generation.fetch_add(1, Ordering::SeqCst) + 1
             };
             shared.counters.appends.fetch_add(1, Ordering::SeqCst);
@@ -1275,45 +1268,6 @@ fn append(
             grimp::ErrorCategory::Busy => Outcome::busy(503, &format!("busy: {e}")),
             _ => Outcome::text(500, format!("append failed: {e}")),
         },
-    }
-}
-
-/// Rebuild this worker's model replica when the checkpoint generation
-/// moved. In-flight requests never see a swap: the rebuild happens
-/// between requests, and a generation that fails to restore is skipped
-/// (the worker keeps serving its current replica).
-fn refresh_replica(
-    shared: &Shared,
-    replica: &mut Option<Replica>,
-    failed_generation: &mut Option<u64>,
-) {
-    let (generation, blob, train) = shared.current_snapshot();
-    let stale = match replica {
-        Some(r) => r.generation != generation,
-        None => true,
-    };
-    if !stale || *failed_generation == Some(generation) {
-        return;
-    }
-    let restored = TrainCheckpoint::from_bytes(&blob)
-        .map_err(|source| GrimpError::Checkpoint {
-            path: shared.source.checkpoint_dir.join(CHECKPOINT_FILE),
-            source,
-        })
-        .and_then(|ck| shared.source.pipeline.restore(&train, &ck));
-    match restored {
-        Ok(model) => {
-            *replica = Some(Replica { generation, model });
-            *failed_generation = None;
-            shared.failed_reload.store(0, Ordering::SeqCst);
-        }
-        Err(_) => {
-            *failed_generation = Some(generation);
-            // Memoized for `/readyz` (stored as generation + 1 so 0 can
-            // mean "none"): the process serves an older replica, and
-            // operators can see which rotation went bad.
-            shared.failed_reload.store(generation + 1, Ordering::SeqCst);
-        }
     }
 }
 

@@ -7,7 +7,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use grimp::{GrimpConfig, GrimpError, Pipeline, ShutdownFlag};
-use grimp_obs::JsonlSink;
+use grimp_obs::{names, EventKind, JsonlSink};
 use grimp_serve::{client, ModelSource, ServeConfig, Server, SocketFaultKind, SocketFaultPlan};
 use grimp_table::csv::{read_csv_str, to_csv_string};
 use grimp_table::{inject_mcar, ColumnKind, Schema, Table};
@@ -443,8 +443,35 @@ fn post_append_grows_the_served_table_and_swaps_the_generation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The `fit` spans in a server trace: one per model restore.
+fn restores(trace: &str) -> usize {
+    let replay = grimp_obs::read_jsonl(trace).unwrap();
+    replay
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::SpanExit && e.name == names::FIT)
+        .count()
+}
+
+/// Poll `GET /readyz` until its body contains `needle`.
+fn await_readyz(addr: &str, needle: &str) -> String {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let ready = client::request(addr, "GET", "/readyz", b"").unwrap();
+        let body = String::from_utf8(ready.body).unwrap();
+        if body.contains(needle) {
+            return body;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "readyz never showed {needle}: {body}"
+        );
+        thread::sleep(Duration::from_millis(20));
+    }
+}
+
 #[test]
-fn a_panicking_handler_gets_500_and_the_worker_is_replaced() {
+fn a_panicking_handler_gets_500_and_the_shared_model_keeps_serving() {
     let (source, dirty, dir) = fitted_source("panic", 5);
     let cfg = ServeConfig {
         panic_route: true,
@@ -457,30 +484,108 @@ fn a_panicking_handler_gets_500_and_the_worker_is_replaced() {
     // killing the worker thread or the server.
     let res = client::request(&running.addr, "POST", "/panic", b"").unwrap();
     assert_eq!(res.status, 500, "{:?}", String::from_utf8_lossy(&res.body));
-    let body = String::from_utf8(res.body).unwrap();
-    assert!(body.contains("quarantined"), "{body}");
 
-    // Service continues: the quarantined replica is rebuilt on demand.
+    // Service continues on the same model: the panic dropped only the
+    // request's scratch, so nothing is restored again.
     let res = client::impute(&running.addr, &to_csv_string(&dirty)).unwrap();
     assert_eq!(res.status, 200, "{:?}", String::from_utf8_lossy(&res.body));
 
     let stats = client::request(&running.addr, "GET", "/stats", b"").unwrap();
     let stats_body = String::from_utf8(stats.body).unwrap();
     assert!(stats_body.contains("\"panics\":1"), "{stats_body}");
-    assert!(
-        stats_body.contains("\"workers_replaced\":1"),
-        "{stats_body}"
-    );
 
     let (report, trace) = running.stop();
     assert!(report.clean, "a panic must not wedge the drain");
     assert_eq!(report.panics, 1);
-    assert_eq!(report.workers_replaced, 1);
     let replay = grimp_obs::read_jsonl(&trace).unwrap();
-    assert!(replay
-        .events
-        .iter()
-        .any(|e| e.name == grimp_obs::names::WORKER_PANIC));
+    assert!(replay.events.iter().any(|e| e.name == names::WORKER_PANIC));
+    assert_eq!(restores(&trace), 1, "only the bind restores a model");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn four_workers_share_one_restored_model() {
+    let (source, dirty, dir) = fitted_source("shared", 5);
+    let cfg = ServeConfig {
+        workers: 4,
+        ..ServeConfig::default()
+    };
+    let running = Running::start("shared", cfg, source);
+
+    // Four clients send 16 imputes at once, four of each body: the
+    // training table and three unseen ones.
+    let mut bodies = vec![to_csv_string(&dirty)];
+    for seed in 1..4 {
+        let mut unseen = small_table(12 + 3 * seed as usize);
+        inject_mcar(&mut unseen, 0.2, &mut StdRng::seed_from_u64(seed));
+        bodies.push(to_csv_string(&unseen));
+    }
+    let clients: Vec<_> = (0..4)
+        .map(|c| {
+            let (addr, bodies) = (running.addr.clone(), bodies.clone());
+            thread::spawn(move || {
+                (0..4)
+                    .map(|k| {
+                        let res = client::impute(&addr, &bodies[(c + k) % 4]).unwrap();
+                        assert_eq!(res.status, 200, "{:?}", String::from_utf8_lossy(&res.body));
+                        ((c + k) % 4, res.body)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let mut answers: Vec<Option<Vec<u8>>> = vec![None; 4];
+    for client in clients {
+        for (b, answer) in client.join().unwrap() {
+            let first = answers[b].get_or_insert_with(|| answer.clone());
+            assert_eq!(*first, answer, "one body got two different answers");
+        }
+    }
+
+    let (report, trace) = running.stop();
+    assert!(report.clean);
+    assert_eq!(report.served, 16);
+    assert_eq!(restores(&trace), 1, "4 workers and 16 imputes, one restore");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_bad_rotation_then_a_panic_keeps_serving_the_last_good_generation() {
+    let (source, dirty, dir) = fitted_source("badrotation", 5);
+    let cfg = ServeConfig {
+        panic_route: true,
+        workers: 1,
+        reload_poll: Duration::from_millis(20),
+        ..ServeConfig::default()
+    };
+    let running = Running::start("badrotation", cfg, source);
+    let body = to_csv_string(&dirty);
+    let good = client::impute(&running.addr, &body).unwrap();
+    assert_eq!(good.status, 200);
+
+    // A trainer rotates in CRC-valid checkpoints of a differently shaped
+    // model: none of them restores against the served pipeline.
+    let mut narrow = quick_config(5, &dir);
+    narrow.gnn.hidden = 4;
+    Pipeline::new(narrow).unwrap().fit(&dirty).unwrap();
+    let ready = await_readyz(&running.addr, "\"failed_reload_generation\":1");
+    assert!(ready.contains("\"generation\":0"), "{ready}");
+
+    // A panic on the only worker loses nothing: staleness, not downtime.
+    let res = client::request(&running.addr, "POST", "/panic", b"").unwrap();
+    assert_eq!(res.status, 500);
+    for _ in 0..3 {
+        let res = client::impute(&running.addr, &body).unwrap();
+        assert_eq!(res.status, 200, "{:?}", String::from_utf8_lossy(&res.body));
+        assert_eq!(res.body, good.body, "the last good generation answers");
+    }
+    let ready = client::request(&running.addr, "GET", "/readyz", b"").unwrap();
+    let ready = String::from_utf8(ready.body).unwrap();
+    assert!(ready.contains("\"failed_reload_generation\":1"), "{ready}");
+
+    let (report, _) = running.stop();
+    assert!(report.clean);
+    assert_eq!((report.reloads, report.panics), (0, 1));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -92,7 +92,7 @@ pub fn check_gradients(
 mod tests {
     use super::*;
     use crate::adjacency::Adjacency;
-    use std::rc::Rc;
+    use std::sync::Arc;
 
     const EPS: f32 = 1e-3;
     const TOL: f32 = 2e-2;
@@ -128,7 +128,7 @@ mod tests {
                 0.1, 0.3, -0.2, 0.4, 0.0, -0.5, 0.2, 0.1, 0.9, -0.1, 0.3, 0.2,
             ],
         )];
-        let targets = Rc::new(vec![2u32, 0, 3]);
+        let targets = Arc::new(vec![2u32, 0, 3]);
         let rep = check_gradients(
             &params,
             move |tape, vars| tape.softmax_cross_entropy(vars[0], targets.clone()),
@@ -145,7 +145,7 @@ mod tests {
         // agree with central differences. (The historical bug differentiated
         // the *unclamped* probability, which this regime is sensitive to.)
         let params = vec![t(2, 3, &[-7.0, 7.0, 0.0, 6.0, -6.0, 0.5])];
-        let targets = Rc::new(vec![0u32, 1]);
+        let targets = Arc::new(vec![0u32, 1]);
         let rep = check_gradients(
             &params,
             move |tape, vars| tape.softmax_cross_entropy(vars[0], targets.clone()),
@@ -161,7 +161,7 @@ mod tests {
         // analytic gradient must match the flat numeric one (zero) instead
         // of the unclamped rule's ≈ -1 spike against a constant forward.
         let params = vec![t(1, 2, &[-200.0, 200.0])];
-        let targets = Rc::new(vec![0u32]);
+        let targets = Arc::new(vec![0u32]);
         let rep = check_gradients(
             &params,
             move |tape, vars| tape.softmax_cross_entropy(vars[0], targets.clone()),
@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn gradcheck_focal_loss() {
         let params = vec![t(2, 3, &[0.2, -0.4, 0.6, 0.1, 0.5, -0.3])];
-        let targets = Rc::new(vec![1u32, 2]);
+        let targets = Arc::new(vec![1u32, 2]);
         let rep = check_gradients(
             &params,
             move |tape, vars| tape.focal_loss(vars[0], targets.clone(), 2.0),
@@ -192,7 +192,7 @@ mod tests {
         // and backward passes — a mismatch shows up as a finite-difference
         // disagreement here.
         let params = vec![t(2, 2, &[4.0, -4.0, 3.5, -3.5])];
-        let targets = Rc::new(vec![0u32, 1]);
+        let targets = Arc::new(vec![0u32, 1]);
         let rep = check_gradients(
             &params,
             move |tape, vars| tape.focal_loss(vars[0], targets.clone(), 2.0),
@@ -236,8 +236,8 @@ mod tests {
     #[test]
     fn gradcheck_scatter_mean_gather() {
         let params = vec![t(3, 2, &[0.5, -0.5, 0.25, 1.0, -1.0, 0.75])];
-        let adj = Rc::new(Adjacency::from_lists(&[vec![1, 2], vec![0], vec![0, 1, 2]]));
-        let idx = Rc::new(vec![0u32, 2, 1]);
+        let adj = Arc::new(Adjacency::from_lists(&[vec![1, 2], vec![0], vec![0, 1, 2]]));
+        let idx = Arc::new(vec![0u32, 2, 1]);
         let rep = check_gradients(
             &params,
             move |tape, vars| {

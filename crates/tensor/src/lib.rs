@@ -17,7 +17,7 @@
 //! ```
 //! use grimp_tensor::{Tape, Tensor, Adam, Mlp};
 //! use rand::{rngs::StdRng, SeedableRng};
-//! use std::rc::Rc;
+//! use std::sync::Arc;
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let mut tape = Tape::new();
@@ -27,7 +27,7 @@
 //! for _ in 0..50 {
 //!     let x = tape.input(Tensor::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.]));
 //!     let logits = mlp.forward(&mut tape, x);
-//!     let loss = tape.softmax_cross_entropy(logits, Rc::new(vec![0, 1, 1, 0]));
+//!     let loss = tape.softmax_cross_entropy(logits, Arc::new(vec![0, 1, 1, 0]));
 //!     tape.backward(loss);
 //!     adam.step(&mut tape);
 //!     tape.reset();

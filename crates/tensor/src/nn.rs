@@ -112,7 +112,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::rc::Rc;
+    use std::sync::Arc;
 
     #[test]
     fn dense_forward_shape() {
@@ -136,7 +136,7 @@ mod tests {
         tape.freeze();
         let mut adam = Adam::new(0.05);
         let xs = Tensor::from_vec(4, 2, vec![0., 0., 0., 1., 1., 0., 1., 1.]);
-        let ys = Rc::new(vec![0u32, 1, 1, 0]);
+        let ys = Arc::new(vec![0u32, 1, 1, 0]);
         let mut last = f32::INFINITY;
         for _ in 0..300 {
             let x = tape.input(xs.clone());

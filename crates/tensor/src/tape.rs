@@ -18,7 +18,7 @@
 //! free lists: zero heap allocation in steady state, observable through
 //! [`Tape::workspace_stats`].
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::adjacency::Adjacency;
 use crate::backend::{
@@ -82,13 +82,13 @@ enum Op {
     /// Logistic sigmoid.
     Sigmoid(Var),
     /// `out[i] = a[idx[i]]` row gather (embedding lookup).
-    GatherRows(Var, Rc<Vec<u32>>),
+    GatherRows(Var, Arc<Vec<u32>>),
     /// `out[i] = mean of a[j] over j ∈ adj(i)`; zero row when degree 0.
-    ScatterMean(Var, Rc<Adjacency>),
+    ScatterMean(Var, Arc<Adjacency>),
     /// `out[i] = Σ_j w[e] · a[j]` over edges `e = (i, j)` of the adjacency,
     /// with one constant weight per CSR target entry (GCN-style normalized
     /// aggregation).
-    ScatterWeighted(Var, Rc<Adjacency>, Rc<Vec<f32>>),
+    ScatterWeighted(Var, Arc<Adjacency>, Arc<Vec<f32>>),
     /// Horizontal concatenation of matrices with equal row counts.
     ConcatCols(Vec<Var>),
     /// Column slice `a[:, start..end]`.
@@ -105,15 +105,15 @@ enum Op {
     /// read-out over blocks of `C` rows.
     BlockWeightedSum { v: Var, alpha: Var },
     /// Mean softmax cross-entropy over rows of logits against class indices.
-    SoftmaxCrossEntropy { logits: Var, targets: Rc<Vec<u32>> },
+    SoftmaxCrossEntropy { logits: Var, targets: Arc<Vec<u32>> },
     /// Mean focal loss `-(1 - p_t)^γ · log p_t` over rows of logits.
     FocalLoss {
         logits: Var,
-        targets: Rc<Vec<u32>>,
+        targets: Arc<Vec<u32>>,
         gamma: f32,
     },
     /// Mean squared error of an `N × 1` prediction column against targets.
-    MseLoss { pred: Var, targets: Rc<Vec<f32>> },
+    MseLoss { pred: Var, targets: Arc<Vec<f32>> },
 }
 
 struct Node {
@@ -584,7 +584,7 @@ impl Tape {
     }
 
     /// Row gather: `out[i] = a[idx[i]]`.
-    pub fn gather_rows(&mut self, a: Var, idx: Rc<Vec<u32>>) -> Var {
+    pub fn gather_rows(&mut self, a: Var, idx: Arc<Vec<u32>>) -> Var {
         let cols = self.nodes[a.idx()].value.cols();
         let mut value = self.ws.raw(idx.len(), cols);
         let src = &self.nodes[a.idx()].value;
@@ -599,7 +599,7 @@ impl Tape {
 
     /// Neighborhood mean: `out[i] = mean_{j ∈ adj(i)} a[j]`, zero when
     /// `adj(i)` is empty.
-    pub fn scatter_mean(&mut self, a: Var, adj: Rc<Adjacency>) -> Var {
+    pub fn scatter_mean(&mut self, a: Var, adj: Arc<Adjacency>) -> Var {
         let src = self.value(a);
         assert!(
             adj.max_target_bound() <= src.rows(),
@@ -623,7 +623,7 @@ impl Tape {
     ///
     /// # Panics
     /// Panics when `weights.len() != adj.n_edges()`.
-    pub fn scatter_weighted(&mut self, a: Var, adj: Rc<Adjacency>, weights: Rc<Vec<f32>>) -> Var {
+    pub fn scatter_weighted(&mut self, a: Var, adj: Arc<Adjacency>, weights: Arc<Vec<f32>>) -> Var {
         let src = self.value(a);
         assert_eq!(
             weights.len(),
@@ -732,7 +732,7 @@ impl Tape {
     /// the target probability is clamped to `CE_P_MIN` (with the backward
     /// pass zeroing the gradient of rows the clamp flattens — see
     /// [`crate::backend`]).
-    pub fn softmax_cross_entropy(&mut self, logits: Var, targets: Rc<Vec<u32>>) -> Var {
+    pub fn softmax_cross_entropy(&mut self, logits: Var, targets: Arc<Vec<u32>>) -> Var {
         let lt = &self.nodes[logits.idx()].value;
         assert_eq!(lt.rows(), targets.len(), "one target per logits row");
         let loss = self.backend.softmax_ce_loss(lt, &targets);
@@ -743,7 +743,7 @@ impl Tape {
 
     /// Mean focal loss `-(1 - p_t)^γ log p_t` against class indices, with
     /// `p_t` clamped to the same range the backward pass uses.
-    pub fn focal_loss(&mut self, logits: Var, targets: Rc<Vec<u32>>, gamma: f32) -> Var {
+    pub fn focal_loss(&mut self, logits: Var, targets: Arc<Vec<u32>>, gamma: f32) -> Var {
         let lt = &self.nodes[logits.idx()].value;
         assert_eq!(lt.rows(), targets.len(), "one target per logits row");
         let mut loss = 0.0f64;
@@ -766,7 +766,7 @@ impl Tape {
     }
 
     /// Mean squared error of an `N × 1` prediction column against targets.
-    pub fn mse_loss(&mut self, pred: Var, targets: Rc<Vec<f32>>) -> Var {
+    pub fn mse_loss(&mut self, pred: Var, targets: Arc<Vec<f32>>) -> Var {
         let pt = self.value(pred);
         assert_eq!(pt.shape(), (targets.len(), 1), "pred must be N x 1");
         let mut loss = 0.0f64;
@@ -1254,8 +1254,8 @@ pub fn block_weighted_sum_into(v: &Tensor, alpha: &Tensor, out: &mut Tensor) {
 mod tests {
     use super::*;
 
-    fn rc_idx(v: Vec<u32>) -> Rc<Vec<u32>> {
-        Rc::new(v)
+    fn arc_idx(v: Vec<u32>) -> Arc<Vec<u32>> {
+        Arc::new(v)
     }
 
     #[test]
@@ -1358,7 +1358,7 @@ mod tests {
         let mut tape = Tape::new();
         let a = tape.param(Tensor::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
         tape.freeze();
-        let g = tape.gather_rows(a, rc_idx(vec![2, 0, 2]));
+        let g = tape.gather_rows(a, arc_idx(vec![2, 0, 2]));
         let loss = tape.sum_all(g);
         tape.backward(loss);
         assert_eq!(
@@ -1372,7 +1372,7 @@ mod tests {
         let mut tape = Tape::new();
         let a = tape.param(Tensor::from_vec(3, 1, vec![3.0, 6.0, 9.0]));
         tape.freeze();
-        let adj = Rc::new(Adjacency::from_lists(&[vec![1, 2], vec![], vec![0]]));
+        let adj = Arc::new(Adjacency::from_lists(&[vec![1, 2], vec![], vec![0]]));
         let m = tape.scatter_mean(a, adj);
         assert_eq!(tape.value(m).as_slice(), &[7.5, 0.0, 3.0]);
         let loss = tape.sum_all(m);
@@ -1385,8 +1385,8 @@ mod tests {
         let mut tape = Tape::new();
         let a = tape.param(Tensor::from_vec(3, 1, vec![2.0, 4.0, 8.0]));
         tape.freeze();
-        let adj = Rc::new(Adjacency::from_lists(&[vec![1, 2], vec![], vec![0]]));
-        let w = Rc::new(vec![0.5, 0.25, 2.0]);
+        let adj = Arc::new(Adjacency::from_lists(&[vec![1, 2], vec![], vec![0]]));
+        let w = Arc::new(vec![0.5, 0.25, 2.0]);
         let out = tape.scatter_weighted(a, adj, w);
         // out[0] = 0.5*4 + 0.25*8 = 4; out[1] = 0; out[2] = 2*2 = 4
         assert_eq!(tape.value(out).as_slice(), &[4.0, 0.0, 4.0]);
@@ -1400,8 +1400,8 @@ mod tests {
     fn scatter_weighted_with_unit_weights_matches_sum() {
         let mut tape = Tape::new();
         let a = tape.input(Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
-        let adj = Rc::new(Adjacency::from_lists(&[vec![0, 1]]));
-        let out = tape.scatter_weighted(a, adj, Rc::new(vec![1.0, 1.0]));
+        let adj = Arc::new(Adjacency::from_lists(&[vec![0, 1]]));
+        let out = tape.scatter_weighted(a, adj, Arc::new(vec![1.0, 1.0]));
         assert_eq!(tape.value(out).as_slice(), &[4.0, 6.0]);
     }
 
@@ -1410,7 +1410,7 @@ mod tests {
         let mut tape = Tape::new();
         let logits = tape.param(Tensor::from_vec(1, 2, vec![0.0, 0.0]));
         tape.freeze();
-        let loss = tape.softmax_cross_entropy(logits, rc_idx(vec![1]));
+        let loss = tape.softmax_cross_entropy(logits, arc_idx(vec![1]));
         assert!((tape.value(loss).item() - 0.5f32.ln().abs()).abs() < 1e-6);
         tape.backward(loss);
         let g = tape.grad(logits).unwrap();
@@ -1424,7 +1424,7 @@ mod tests {
             let mut tape = Tape::new();
             let logits = tape.param(Tensor::from_vec(2, 3, vec![0.3, -0.1, 0.7, 1.0, 0.0, -1.0]));
             tape.freeze();
-            let t = rc_idx(vec![2, 0]);
+            let t = arc_idx(vec![2, 0]);
             let loss = match gamma {
                 Some(g) => tape.focal_loss(logits, t, g),
                 None => tape.softmax_cross_entropy(logits, t),
@@ -1450,7 +1450,7 @@ mod tests {
         let mut tape = Tape::new();
         let logits = tape.param(Tensor::from_vec(1, 2, vec![20.0, -20.0]));
         tape.freeze();
-        let loss = tape.focal_loss(logits, rc_idx(vec![0]), 2.0);
+        let loss = tape.focal_loss(logits, arc_idx(vec![0]), 2.0);
         let l = tape.value(loss).item();
         let p = FOCAL_P_MAX;
         let expected = -(1.0 - p).powi(2) * p.ln();
@@ -1469,7 +1469,7 @@ mod tests {
         let mut tape = Tape::new();
         let pred = tape.param(Tensor::from_vec(2, 1, vec![1.0, 3.0]));
         tape.freeze();
-        let loss = tape.mse_loss(pred, Rc::new(vec![0.0, 1.0]));
+        let loss = tape.mse_loss(pred, Arc::new(vec![0.0, 1.0]));
         assert!((tape.value(loss).item() - 2.5).abs() < 1e-6);
         tape.backward(loss);
         assert_eq!(tape.grad(pred).unwrap().as_slice(), &[1.0, 2.0]);
@@ -1582,7 +1582,7 @@ mod tests {
     /// One full train step over a small graph: identical epochs after the
     /// first must run entirely out of the workspace free lists.
     fn train_epoch(tape: &mut Tape, w: Var, x: Var) {
-        let adj = Rc::new(Adjacency::from_lists(&[vec![1, 2], vec![0], vec![0, 1]]));
+        let adj = Arc::new(Adjacency::from_lists(&[vec![1, 2], vec![0], vec![0, 1]]));
         let h = tape.matmul(x, w);
         let agg = tape.scatter_mean(h, adj);
         let act = tape.relu(agg);
@@ -1649,9 +1649,9 @@ mod tests {
             let x = tape.input(Tensor::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
             tape.freeze();
             let h = tape.matmul(x, w);
-            let adj = Rc::new(Adjacency::from_lists(&[vec![1, 2], vec![], vec![0]]));
+            let adj = Arc::new(Adjacency::from_lists(&[vec![1, 2], vec![], vec![0]]));
             let m = tape.scatter_mean(h, adj);
-            let loss = tape.softmax_cross_entropy(m, Rc::new(vec![0u32, 1, 2]));
+            let loss = tape.softmax_cross_entropy(m, Arc::new(vec![0u32, 1, 2]));
             tape.backward(loss);
             (tape.value(loss).item(), tape.grad(w).unwrap().clone())
         };

@@ -9,7 +9,7 @@ use grimp_tensor::{
     TensorBackend,
 };
 use proptest::prelude::*;
-use std::rc::Rc;
+use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -112,9 +112,9 @@ proptest! {
             let xv = tape.input(Tensor::from_vec(4, 2, x.clone()));
             tape.freeze();
             let h = tape.matmul(xv, wv);
-            let adj = Rc::new(Adjacency::from_lists(&[vec![0, 3], vec![], vec![2]]));
+            let adj = Arc::new(Adjacency::from_lists(&[vec![0, 3], vec![], vec![2]]));
             let m = tape.scatter_mean(h, adj);
-            let loss = tape.softmax_cross_entropy(m, Rc::new(vec![0u32, 1, 2]));
+            let loss = tape.softmax_cross_entropy(m, Arc::new(vec![0u32, 1, 2]));
             tape.backward(loss);
             (tape.value(loss).item(), tape.grad(wv).unwrap().clone())
         };

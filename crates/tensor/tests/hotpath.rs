@@ -14,7 +14,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use grimp_tensor::{Adam, Adjacency, Tape, Tensor, Var};
 
@@ -55,20 +55,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 struct Fixture {
-    idx8: Rc<Vec<u32>>,
-    idx4: Rc<Vec<u32>>,
-    adj: Rc<Adjacency>,
-    weights: Rc<Vec<f32>>,
-    targets: Rc<Vec<u32>>,
-    num_targets: Rc<Vec<f32>>,
+    idx8: Arc<Vec<u32>>,
+    idx4: Arc<Vec<u32>>,
+    adj: Arc<Adjacency>,
+    weights: Arc<Vec<f32>>,
+    targets: Arc<Vec<u32>>,
+    num_targets: Arc<Vec<f32>>,
 }
 
 impl Fixture {
     fn new() -> Self {
         Fixture {
-            idx8: Rc::new(vec![0, 2, 4, 6, 8, 1, 3, 5]),
-            idx4: Rc::new(vec![7, 0, 3, 5]),
-            adj: Rc::new(Adjacency::from_lists(&[
+            idx8: Arc::new(vec![0, 2, 4, 6, 8, 1, 3, 5]),
+            idx4: Arc::new(vec![7, 0, 3, 5]),
+            adj: Arc::new(Adjacency::from_lists(&[
                 vec![1, 2],
                 vec![0, 3, 5],
                 vec![],
@@ -76,11 +76,11 @@ impl Fixture {
                 vec![0, 1, 2, 3],
                 vec![5],
             ])),
-            weights: Rc::new(vec![
+            weights: Arc::new(vec![
                 0.5, -0.25, 1.0, 0.0, 2.0, -1.0, 0.75, 0.1, 0.2, 0.3, 1.5,
             ]),
-            targets: Rc::new(vec![2, 0, 3, 1]),
-            num_targets: Rc::new(vec![0.5, -0.5, 1.0, 0.0]),
+            targets: Arc::new(vec![2, 0, 3, 1]),
+            num_targets: Arc::new(vec![0.5, -0.5, 1.0, 0.0]),
         }
     }
 }
@@ -122,20 +122,20 @@ fn epoch(tape: &mut Tape, x: Var, w1: Var, bias: Var, fx: &Fixture) -> f32 {
     let d = tape.sub(m, s);
     let sc = tape.scale(d, 0.5);
     let an = tape.add_n(&[sc, m, d]);
-    let sm = tape.scatter_mean(an, Rc::clone(&fx.adj));
-    let sw = tape.scatter_weighted(an, Rc::clone(&fx.adj), Rc::clone(&fx.weights));
+    let sm = tape.scatter_mean(an, Arc::clone(&fx.adj));
+    let sw = tape.scatter_weighted(an, Arc::clone(&fx.adj), Arc::clone(&fx.weights));
     let cat = tape.concat_cols(&[sm, sw]);
     let sl = tape.slice_cols(cat, 3, 9);
     let resh = tape.reshape(sl, 9, 4);
-    let v = tape.gather_rows(resh, Rc::clone(&fx.idx8));
-    let alpha_src = tape.gather_rows(resh, Rc::clone(&fx.idx4));
+    let v = tape.gather_rows(resh, Arc::clone(&fx.idx8));
+    let alpha_src = tape.gather_rows(resh, Arc::clone(&fx.idx4));
     let alpha_sl = tape.slice_cols(alpha_src, 1, 3);
     let alpha = tape.row_softmax(alpha_sl);
     let bws = tape.block_weighted_sum(v, alpha);
-    let ce = tape.softmax_cross_entropy(bws, Rc::clone(&fx.targets));
-    let fl = tape.focal_loss(bws, Rc::clone(&fx.targets), 1.5);
+    let ce = tape.softmax_cross_entropy(bws, Arc::clone(&fx.targets));
+    let fl = tape.focal_loss(bws, Arc::clone(&fx.targets), 1.5);
     let num = tape.slice_cols(bws, 0, 1);
-    let mse = tape.mse_loss(num, Rc::clone(&fx.num_targets));
+    let mse = tape.mse_loss(num, Arc::clone(&fx.num_targets));
     let sa = tape.sum_all(m);
     let sa_small = tape.scale(sa, 0.01);
     let ma = tape.mean_all(m);

@@ -6,7 +6,7 @@
 
 use grimp_tensor::{check_gradients, Adjacency, Tape, Tensor};
 use proptest::prelude::*;
-use std::rc::Rc;
+use std::sync::Arc;
 
 const EPS: f32 = 1e-2;
 const TOL: f32 = 5e-2;
@@ -61,7 +61,7 @@ proptest! {
     #[test]
     fn gradcheck_softmax_ce(logits in small_vals(12), t0 in 0u32..4, t1 in 0u32..4, t2 in 0u32..4) {
         let params = vec![Tensor::from_vec(3, 4, logits)];
-        let targets = Rc::new(vec![t0, t1, t2]);
+        let targets = Arc::new(vec![t0, t1, t2]);
         let rep = check_gradients(&params, move |tape, vars| {
             tape.softmax_cross_entropy(vars[0], targets.clone())
         }, EPS);
@@ -71,7 +71,7 @@ proptest! {
     #[test]
     fn gradcheck_focal(logits in small_vals(8), t0 in 0u32..4, t1 in 0u32..4, gamma in 0.5f32..3.0) {
         let params = vec![Tensor::from_vec(2, 4, logits)];
-        let targets = Rc::new(vec![t0, t1]);
+        let targets = Arc::new(vec![t0, t1]);
         let rep = check_gradients(&params, move |tape, vars| {
             tape.focal_loss(vars[0], targets.clone(), gamma)
         }, EPS);
@@ -81,7 +81,7 @@ proptest! {
     #[test]
     fn gradcheck_scatter_mean(vals in small_vals(8)) {
         let params = vec![Tensor::from_vec(4, 2, vals)];
-        let adj = Rc::new(Adjacency::from_lists(&[
+        let adj = Arc::new(Adjacency::from_lists(&[
             vec![1, 2, 3], vec![0], vec![], vec![0, 1],
         ]));
         let rep = check_gradients(&params, move |tape, vars| {
@@ -95,10 +95,10 @@ proptest! {
     #[test]
     fn gradcheck_scatter_weighted(vals in small_vals(8), w in proptest::collection::vec(0.05f32..2.0, 6)) {
         let params = vec![Tensor::from_vec(4, 2, vals)];
-        let adj = Rc::new(Adjacency::from_lists(&[
+        let adj = Arc::new(Adjacency::from_lists(&[
             vec![1, 2, 3], vec![0], vec![], vec![0, 1],
         ]));
-        let w = Rc::new(w);
+        let w = Arc::new(w);
         let rep = check_gradients(&params, move |tape, vars| {
             let m = tape.scatter_weighted(vars[0], adj.clone(), w.clone());
             let sq = tape.mul_elem(m, m);
@@ -126,7 +126,7 @@ proptest! {
     #[test]
     fn gradcheck_mse(pred in small_vals(5), target in small_vals(5)) {
         let params = vec![Tensor::from_vec(5, 1, pred)];
-        let t = Rc::new(target);
+        let t = Arc::new(target);
         let rep = check_gradients(&params, move |tape, vars| {
             tape.mse_loss(vars[0], t.clone())
         }, EPS);
@@ -173,7 +173,7 @@ fn adam_and_sgd_agree_on_convergence_target() {
         let mut adam = Adam::new(0.05);
         let sgd = Sgd::new(0.05);
         let xs = Tensor::from_vec(4, 1, vec![0.0, 1.0, 2.0, 3.0]);
-        let ys = Rc::new(vec![1.0f32, 3.0, 5.0, 7.0]);
+        let ys = Arc::new(vec![1.0f32, 3.0, 5.0, 7.0]);
         for _ in 0..2000 {
             let x = tape.input(xs.clone());
             let wx = tape.matmul(x, w);

@@ -61,7 +61,7 @@ fn main() {
     println!("selected: lr={}, {:?} tasks\n", best.lr, best.task_kind);
 
     // 2. train once, keep the model
-    let mut model = Pipeline::new(best)
+    let model = Pipeline::new(best)
         .expect("the tuner selects a valid config")
         .with_fds(tax.fds.clone())
         .fit(&train_dirty)

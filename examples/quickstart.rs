@@ -51,7 +51,7 @@ fn main() {
         .expect("valid config");
     let pipeline = Pipeline::new(config).expect("validated config");
     let mut sink = MemorySink::new();
-    let mut model = pipeline
+    let model = pipeline
         .fit_traced(&dirty, &mut sink)
         .expect("table has columns");
     let imputed = model.impute(&dirty).expect("training table");

@@ -210,7 +210,8 @@ echo "==> crashpoint sweep (abort the server at every state-mutating boundary;"
 echo "    supervisor + idempotent replay must recover each one)"
 ./target/release/grimp chaos --crashpoints
 
-echo "==> load probe (writes BENCH_serve.json; asserts 200s, zero shed, clean drain)"
+echo "==> load probe (writes BENCH_serve.json at 1, 2 and 4 workers; asserts 200s, zero shed,"
+echo "    clean drain, and one model restore per server)"
 cargo run --release -p grimp-bench --bin load_probe
 
 echo "tier1: all green"

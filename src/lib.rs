@@ -12,7 +12,7 @@
 //!     .seed(0)
 //!     .build()
 //!     .unwrap();
-//! let mut model = Pipeline::new(config).unwrap().fit(&dirty).unwrap();
+//! let model = Pipeline::new(config).unwrap().fit(&dirty).unwrap();
 //! let imputed = model.impute(&dirty).unwrap();
 //! assert_eq!(imputed.n_missing(), 0);
 //! ```
