@@ -4,6 +4,12 @@
 //! path at each size, and writes `BENCH_scaling.json` in the working
 //! directory.
 //!
+//! At every size it also records `gnn_rows`, the node rows the GNN's last
+//! layer and the merge computed per epoch (a trace counter), and asserts
+//! it stays within the cell-node count plus the 3 rows that align the
+//! range's start — a deterministic gate that those stages do not grow with
+//! the row count. Wall time is reported, not gated beyond a 4× collapse.
+//!
 //! The probe also proves the governor's third downscale rung end-to-end: the
 //! 250k-row table is fitted under a memory budget the full-graph path cannot
 //! admit (its estimated footprint exceeds the budget even at the dimension
@@ -28,6 +34,7 @@ use grimp::{
 use grimp_datasets::generate_large;
 use grimp_gnn::GnnConfig;
 use grimp_graph::FeatureSource;
+use grimp_obs::{names, EventKind, MemorySink};
 use grimp_table::{inject_mcar, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -81,6 +88,9 @@ struct SizeResult {
     full_footprint_mb: f64,
     allocs_after_epoch1: u64,
     missing_filled: usize,
+    cell_nodes: usize,
+    /// Largest per-epoch `gnn_rows` counter of the fit.
+    gnn_rows: usize,
 }
 
 fn mb(bytes: u64) -> f64 {
@@ -100,7 +110,8 @@ fn run_size(rows: usize) -> SizeResult {
 
     let start = Instant::now();
     let mut model = Grimp::new(cfg);
-    let imputed = model.fit_impute(&dirty);
+    let mut sink = MemorySink::new();
+    let imputed = model.fit_impute_traced(&dirty, &mut sink);
     let seconds = start.elapsed().as_secs_f64();
     assert_eq!(
         imputed.n_missing(),
@@ -110,6 +121,18 @@ fn run_size(rows: usize) -> SizeResult {
     let report = model.last_report().expect("fit_impute sets a report");
     assert_eq!(report.sampler_batch_rows, Some(4096.min(rows)));
     let allocs_after_epoch1: u64 = report.epoch_allocs().iter().skip(1).sum();
+    let counters = |name: &'static str| {
+        sink.events()
+            .iter()
+            .filter(move |e| e.kind == EventKind::Counter && e.name == name)
+            .map(|e| e.value as usize)
+    };
+    let graph_nodes = counters(names::GRAPH_NODES)
+        .next()
+        .expect("the fit reports its graph size");
+    let gnn_rows = counters(names::GNN_ROWS)
+        .max()
+        .expect("every epoch reports its GNN rows");
 
     SizeResult {
         rows,
@@ -120,6 +143,8 @@ fn run_size(rows: usize) -> SizeResult {
         full_footprint_mb: mb(full_footprint),
         allocs_after_epoch1,
         missing_filled: missing,
+        cell_nodes: graph_nodes - rows,
+        gnn_rows,
     }
 }
 
@@ -256,14 +281,17 @@ fn main() {
         let r = run_size(rows);
         println!(
             "{:>7} rows: {:.2}s ({:.0} rows/sec), footprint sampled {:.1} MB vs \
-             full {:.1} MB, {} missing filled, allocs after epoch 1: {}",
+             full {:.1} MB, {} missing filled, allocs after epoch 1: {}, \
+             GNN rows {} for {} cell nodes",
             r.rows,
             r.seconds,
             r.rows_per_sec,
             r.sampled_footprint_mb,
             r.full_footprint_mb,
             r.missing_filled,
-            r.allocs_after_epoch1
+            r.allocs_after_epoch1,
+            r.gnn_rows,
+            r.cell_nodes
         );
         results.push(r);
     }
@@ -276,6 +304,15 @@ fn main() {
             r.rows
         );
         assert_eq!(r.epochs_run, EPOCHS, "{} rows: epoch count drifted", r.rows);
+        // The last GNN layer and the merge compute the cell nodes the task
+        // heads read (plus at most 3 alignment rows), never every node.
+        assert!(
+            r.gnn_rows >= r.cell_nodes && r.gnn_rows < r.cell_nodes + 4,
+            "{} rows: the last layer computed {} rows for {} cell nodes",
+            r.rows,
+            r.gnn_rows,
+            r.cell_nodes
+        );
     }
     // Throughput must not collapse with size: sampled training keeps the
     // per-epoch training-vector work constant, so rows/sec should *grow*
@@ -335,7 +372,7 @@ fn main() {
             "    {{\"rows\": {}, \"seconds\": {:.3}, \"rows_per_sec\": {:.1}, \
              \"epochs_run\": {}, \"sampled_footprint_mb\": {:.1}, \
              \"full_footprint_mb\": {:.1}, \"missing_filled\": {}, \
-             \"allocs_after_epoch1\": {}}}{}",
+             \"allocs_after_epoch1\": {}, \"cell_nodes\": {}, \"gnn_rows\": {}}}{}",
             r.rows,
             r.seconds,
             r.rows_per_sec,
@@ -344,6 +381,8 @@ fn main() {
             r.full_footprint_mb,
             r.missing_filled,
             r.allocs_after_epoch1,
+            r.cell_nodes,
+            r.gnn_rows,
             if i + 1 < results.len() { "," } else { "" }
         );
     }

@@ -12,9 +12,11 @@
 //! global classifier as its head, and the train stage runs the epoch loop
 //! over a loss hook that scores the flat sample batch.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
+use grimp_gnn::readout_rows;
 use grimp_graph::TableGraph;
 use grimp_obs::Trace;
 use grimp_table::{ColumnKind, Imputer, Normalizer, Table, Value};
@@ -183,9 +185,10 @@ impl GnnMc {
             merge: &merge,
             classifier: &classifier,
             x,
-            train: VectorBatch::build(&graph, &norm, &train_pos, cfg.embed_dim),
+            rows: readout_rows(&graph),
+            train: VectorBatch::build_readout(&graph, &norm, &train_pos, cfg.embed_dim),
             train_labels: Arc::new(train_labels),
-            val: VectorBatch::build(&graph, &norm, &val_pos, cfg.embed_dim),
+            val: VectorBatch::build_readout(&graph, &norm, &val_pos, cfg.embed_dim),
             val_labels: Arc::new(val_labels),
         };
         let trainable = !objective.train.is_empty() && domain.n_classes() > 0;
@@ -210,9 +213,9 @@ impl GnnMc {
         let mut result = dirty.clone();
         let missing = norm.missing_cells();
         if !missing.is_empty() && domain.n_classes() > 0 {
-            let h0 = gnn.forward(&mut tape, x);
+            let h0 = gnn.forward_rows(&mut tape, x, readout_rows(&graph));
             let h = merge.forward(&mut tape, h0);
-            let batch = VectorBatch::build(&graph, &norm, &missing, cfg.embed_dim);
+            let batch = VectorBatch::build_readout(&graph, &norm, &missing, cfg.embed_dim);
             let out = mc_forward(&mut tape, &classifier, h, &batch);
             let out_t = tape.value(out);
             for (s, &(i, j)) in missing.iter().enumerate() {
@@ -253,6 +256,8 @@ struct McObjective<'a> {
     merge: &'a Mlp,
     classifier: &'a Mlp,
     x: Var,
+    /// The GNN's readout rows, which the batches index.
+    rows: Range<usize>,
     train: VectorBatch,
     train_labels: Arc<Vec<u32>>,
     val: VectorBatch,
@@ -268,7 +273,7 @@ impl Objective for McObjective<'_> {
         _anomalies: &mut Vec<TrainAnomaly>,
         losses: &mut Vec<Var>,
     ) -> f32 {
-        let h0 = self.gnn.forward(tape, self.x);
+        let h0 = self.gnn.forward_rows(tape, self.x, self.rows.clone());
         let h = self.merge.forward(tape, h0);
         let logits = mc_forward(tape, self.classifier, h, &self.train);
         let loss = tape.softmax_cross_entropy(logits, Arc::clone(&self.train_labels));

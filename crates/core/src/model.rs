@@ -27,7 +27,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
-use grimp_gnn::HeteroSage;
+use grimp_gnn::{readout_rows, HeteroSage};
 use grimp_graph::{fasttext_features, FeatureSource, NeighborSampler, TableGraph};
 use grimp_obs::{names, EventSink, NullSink, Trace};
 use grimp_table::{ColumnKind, FdSet, Imputer, Normalizer, Table, TrainingSample, Value};
@@ -182,8 +182,9 @@ pub struct FittedModel {
 }
 
 /// One forward pass of the shared layer, on the calling request's own
-/// tape: the node embeddings, and the graph they were computed on (`None`:
-/// the fitted graph of the training table).
+/// tape: the embeddings of the graph's readout rows (the rows
+/// [`VectorBatch::build_readout`] indexes), and the graph they were
+/// computed on (`None`: the fitted graph of the training table).
 struct Embedded {
     tape: Tape,
     h: Var,
@@ -294,7 +295,7 @@ impl FittedModel {
                 profiles.push(None);
                 continue;
             }
-            let batch = VectorBatch::build(graph, norm, &samples, self.config.embed_dim);
+            let batch = VectorBatch::build_readout(graph, norm, &samples, self.config.embed_dim);
             let tape = &mut embedded.tape;
             let profile = task.attention_alpha(tape, embedded.h, &batch).map(|alpha| {
                 let a = tape.value(alpha);
@@ -328,7 +329,8 @@ impl FittedModel {
     }
 
     /// One forward pass of the shared layer on a fresh scratch tape that
-    /// holds the frozen parameters. The training table runs over the fitted
+    /// holds the frozen parameters, with the GNN's last layer and the merge
+    /// over the readout rows only. The training table runs over the fitted
     /// graph (§3.7); an unseen table gets its own graph, a copy of the GNN
     /// bound to it, and its seed-deterministic FastText features. `None`
     /// when an unseen table cannot be embedded: EMBDI and random features
@@ -359,7 +361,13 @@ impl FittedModel {
             tape.input(p.clone());
         }
         let x = tape.input(features);
-        let h0 = rebound.as_ref().unwrap_or(&self.gnn).forward(&mut tape, x);
+        let graph = unseen.as_ref().map_or(&self.graph, |(_, graph)| graph);
+        let rows = readout_rows(graph);
+        trace.counter(names::GNN_ROWS, 0, rows.len() as u64);
+        let h0 = rebound
+            .as_ref()
+            .unwrap_or(&self.gnn)
+            .forward_rows(&mut tape, x, rows);
         let h = self.merge.forward(&mut tape, h0);
         Some(Embedded { tape, h, unseen })
     }
@@ -392,7 +400,8 @@ impl FittedModel {
                         Some((norm, graph)) => (norm, graph),
                         None => (&self.norm, &self.graph),
                     };
-                    let batch = VectorBatch::build(graph, norm, &missing, self.config.embed_dim);
+                    let batch =
+                        VectorBatch::build_readout(graph, norm, &missing, self.config.embed_dim);
                     let out = task.forward(&mut embedded.tape, embedded.h, &batch);
                     let out_t = embedded.tape.value(out);
                     match table.schema().column(j).kind {
@@ -864,7 +873,11 @@ impl Objective for TaskNet {
         anomalies: &mut Vec<TrainAnomaly>,
         losses: &mut Vec<Var>,
     ) -> f32 {
-        let h0 = self.enc.gnn.forward(tape, self.enc.x);
+        // The heads read cell-node rows only, so the GNN's last layer and
+        // the merge compute just those.
+        let rows = readout_rows(&self.enc.graph);
+        trace.counter(names::GNN_ROWS, epoch as u64, rows.len() as u64);
+        let h0 = self.enc.gnn.forward_rows(tape, self.enc.x, rows);
         let h = self.enc.merge.forward(tape, h0);
         for (j, (task, tb)) in self.tasks.iter().zip(self.train_batches.iter()).enumerate() {
             if self.tiers[j] != ColumnTier::Gnn {
@@ -1255,7 +1268,7 @@ fn task_batch(
     }
     let positions: Vec<(usize, usize)> = samples.iter().map(|s| (s.row, s.target_col)).collect();
     Some(TaskBatch {
-        batch: VectorBatch::build(graph, table, &positions, dim),
+        batch: VectorBatch::build_readout(graph, table, &positions, dim),
         labels: labels_of(table, j, samples),
     })
 }

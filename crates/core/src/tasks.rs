@@ -125,8 +125,9 @@ impl Task {
     }
 
     /// Forward pass: from the node-embedding matrix `h` (shared-layer
-    /// output, `n_nodes × D`) and a batch, produce `N × out` logits (or
-    /// `N × 1` regression outputs).
+    /// output over the rows the batch indexes, see
+    /// [`VectorBatch::first_row`]) and a batch, produce `N × out` logits
+    /// (or `N × 1` regression outputs).
     pub fn forward(&self, tape: &mut Tape, h: Var, batch: &VectorBatch) -> Var {
         let v = slots(tape, h, batch);
         match self {

@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use grimp_gnn::readout_rows;
 use grimp_graph::TableGraph;
 use grimp_table::Table;
 use grimp_tensor::Tensor;
@@ -25,9 +26,14 @@ pub struct VectorBatch {
     pub n_cols: usize,
     /// Slot width `D`.
     pub dim: usize,
-    /// `N·C` gather indices into the node-embedding matrix (masked slots
-    /// point at node 0 and are zeroed by `mask`).
+    /// `N·C` gather indices into the embedding rows, which start at node
+    /// [`VectorBatch::first_row`]: a live slot holds its cell node's id
+    /// minus `first_row`, a masked slot points at row 0 and is zeroed by
+    /// `mask`.
     pub idx: Arc<Vec<u32>>,
+    /// Node id of embedding row 0: 0 when the embeddings cover every node,
+    /// the start of [`readout_rows`] when they cover the GNN's readout rows.
+    pub first_row: u32,
     /// `(N·C) × D` multiplicative 0/1 mask.
     pub mask: Tensor,
     /// `N × C` additive attention-score bias (0 for live slots,
@@ -36,49 +42,52 @@ pub struct VectorBatch {
 }
 
 impl VectorBatch {
-    /// Build the batch for `samples`, each a `(row, target_col)` pair. The
-    /// slot of `target_col` is always masked; other slots are masked when
-    /// the cell is `∅` (or its value has no node, which cannot happen for
-    /// values of the same table the graph was built from).
+    /// Build the batch for `samples`, each a `(row, target_col)` pair, over
+    /// embeddings of every node. The slot of `target_col` is always masked;
+    /// other slots are masked when the cell is `∅` (or its value has no
+    /// node, which cannot happen for values of the same table the graph was
+    /// built from).
     pub fn build(
         graph: &TableGraph,
         table: &Table,
         samples: &[(usize, usize)],
         dim: usize,
     ) -> Self {
+        Self::build_from(graph, table, samples, dim, 0)
+    }
+
+    /// [`VectorBatch::build`] over the embeddings of the GNN's readout rows
+    /// ([`readout_rows`]) — the rows [`grimp_gnn::HeteroSage::forward_rows`]
+    /// computes.
+    pub fn build_readout(
+        graph: &TableGraph,
+        table: &Table,
+        samples: &[(usize, usize)],
+        dim: usize,
+    ) -> Self {
+        Self::build_from(graph, table, samples, dim, readout_rows(graph).start)
+    }
+
+    fn build_from(
+        graph: &TableGraph,
+        table: &Table,
+        samples: &[(usize, usize)],
+        dim: usize,
+        first_row: usize,
+    ) -> Self {
         let n = samples.len();
         let n_cols = table.n_columns();
-        let mut idx = Vec::with_capacity(n * n_cols);
-        let mut mask = Tensor::zeros(n * n_cols, dim);
-        let mut score_bias = Tensor::zeros(n, n_cols);
-        for (s, &(row, target_col)) in samples.iter().enumerate() {
-            for c in 0..n_cols {
-                let slot = s * n_cols + c;
-                let node = if c == target_col {
-                    None
-                } else {
-                    graph.cell_node_of(table, row, c)
-                };
-                match node {
-                    Some(node) => {
-                        idx.push(node);
-                        mask.row_slice_mut(slot).fill(1.0);
-                    }
-                    None => {
-                        idx.push(0);
-                        score_bias.set(s, c, MASKED_SCORE_BIAS);
-                    }
-                }
-            }
-        }
-        VectorBatch {
+        let mut batch = VectorBatch {
             n,
             n_cols,
             dim,
-            idx: Arc::new(idx),
-            mask,
-            score_bias,
-        }
+            idx: Arc::new(vec![0; n * n_cols]),
+            first_row: u32::try_from(first_row).expect("node ids fit u32"),
+            mask: Tensor::zeros(n * n_cols, dim),
+            score_bias: Tensor::zeros(n, n_cols),
+        };
+        batch.refill(graph, table, samples);
+        batch
     }
 
     /// True when the batch holds no samples.
@@ -87,12 +96,13 @@ impl VectorBatch {
     }
 
     /// Rewrite the batch in place for a new sample set of the **same size**
-    /// — the sampled training path refills each task's fixed-shape batch
-    /// every epoch so tensor shapes (and the tape workspace keyed on them)
-    /// never change. No allocation happens: the gather indices are mutated
-    /// through [`Arc::get_mut`], which requires that every tape-held clone of
-    /// the previous epoch's `idx` has been dropped (`tape.reset()` does
-    /// that). Panics if the batch is still aliased or `samples.len() != n`.
+    /// (over the same embedding rows) — the sampled training path refills
+    /// each task's fixed-shape batch every epoch so tensor shapes (and the
+    /// tape workspace keyed on them) never change. No allocation happens:
+    /// the gather indices are mutated through [`Arc::get_mut`], which
+    /// requires that every tape-held clone of the previous epoch's `idx`
+    /// has been dropped (`tape.reset()` does that). Panics if the batch is
+    /// still aliased or `samples.len() != n`.
     pub fn refill(&mut self, graph: &TableGraph, table: &Table, samples: &[(usize, usize)]) {
         assert_eq!(
             samples.len(),
@@ -112,7 +122,7 @@ impl VectorBatch {
                 };
                 match node {
                     Some(node) => {
-                        idx[slot] = node;
+                        idx[slot] = node - self.first_row;
                         self.mask.row_slice_mut(slot).fill(1.0);
                         self.score_bias.set(s, c, 0.0);
                     }
@@ -181,6 +191,27 @@ mod tests {
         let m_node = g.cell_node(2, "m").unwrap();
         assert_eq!(b.idx[1], p_node);
         assert_eq!(b.idx[2], m_node);
+    }
+
+    #[test]
+    fn readout_batches_index_from_the_readout_start() {
+        let (t, g) = setup();
+        let first = readout_rows(&g).start;
+        let full = VectorBatch::build(&g, &t, &[(0, 1), (1, 0)], 4);
+        let mut b = VectorBatch::build_readout(&g, &t, &[(0, 1), (1, 0)], 4);
+        assert_eq!(b.first_row as usize, first);
+        for (slot, (&local, &node)) in b.idx.iter().zip(full.idx.iter()).enumerate() {
+            if full.mask.row_slice(slot)[0] == 1.0 {
+                assert_eq!(local as usize + first, node as usize, "slot {slot}");
+            } else {
+                assert_eq!(local, 0, "masked slot {slot} points at row 0");
+            }
+        }
+        assert_eq!(b.mask.as_slice(), full.mask.as_slice());
+        // a refill keeps the batch on its embedding rows
+        b.refill(&g, &t, &[(1, 2), (0, 0)]);
+        let fresh = VectorBatch::build_readout(&g, &t, &[(1, 2), (0, 0)], 4);
+        assert_eq!(*b.idx, *fresh.idx);
     }
 
     #[test]

@@ -236,3 +236,28 @@ fn four_threads_share_one_model_bit_for_bit() {
         assert!(got == want, "thread {t} diverged from the sequential run");
     }
 }
+
+/// An unseen table without a single observed value has no cell nodes, so
+/// its graph is RID nodes only. Every vector slot is masked and must still
+/// find an embedding row to point at, whatever the row count mod 4.
+#[test]
+fn unseen_tables_without_a_single_value_still_impute() {
+    let model = fit(
+        GrimpConfig {
+            max_epochs: 4,
+            ..config()
+        },
+        &dirty(80, 0, 0.15, 3),
+    );
+    for rows in [1, 3, 4, 8] {
+        let mut empty = functional_table(rows, 0);
+        for i in 0..rows {
+            for j in 0..empty.n_columns() {
+                empty.set(i, j, Value::Null);
+            }
+        }
+        let imputed = model.impute(&empty).expect("same schema");
+        check_imputation_contract(&empty, &imputed).unwrap();
+        assert_eq!(imputed.n_missing(), 0, "{rows} rows");
+    }
+}

@@ -2,7 +2,7 @@
 //! replayable from JSONL, and its event stream reproduces the
 //! `TrainReport` aggregates bit-for-bit.
 
-use grimp::{GrimpConfig, Pipeline, TrainReport};
+use grimp::{GrimpConfig, Pipeline, SamplerConfig, TrainReport};
 use grimp_obs::{json, names, Event, EventKind, JsonlSink, MemorySink};
 use grimp_table::{inject_mcar, ColumnKind, Schema, Table};
 use rand::rngs::StdRng;
@@ -253,4 +253,58 @@ fn jsonl_trace_round_trips_through_the_hand_rolled_parser() {
         assert!(names_seen.contains(required), "missing {required}");
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// The GNN's last layer and the merge run over the cell-node rows the task
+/// heads read, not over every node: a sampled fit emits `gnn_rows` once per
+/// epoch, equal to the cell-node count plus at most 3 rows that align the
+/// range's start to the GEMM k-block — the same count at two table sizes,
+/// since both tables hold the same 12 values — and the impute once more.
+#[test]
+fn gnn_rows_counts_the_cell_nodes_at_every_table_size() {
+    let mut per_size = Vec::new();
+    for rows in [203, 2003] {
+        let dirty = dirty_table(rows, 3);
+        let cfg = GrimpConfig {
+            max_epochs: 3,
+            sampler: Some(SamplerConfig {
+                batch_rows: 64,
+                fanout: 4,
+            }),
+            ..quick_config()
+        };
+        let mut sink = MemorySink::new();
+        let fitted = Pipeline::new(cfg)
+            .expect("validated")
+            .fit_traced(&dirty, &mut sink)
+            .expect("table has columns");
+        let _ = fitted.impute_traced(&dirty, &mut sink);
+        let counters = |name: &str| -> Vec<(u64, f64)> {
+            sink.events()
+                .iter()
+                .filter(|e| e.kind == EventKind::Counter && e.name == name)
+                .map(|e| (e.index, e.value))
+                .collect()
+        };
+        let nodes = counters(names::GRAPH_NODES)[0].1 as usize;
+        let cells = nodes - rows;
+        let gnn_rows = counters(names::GNN_ROWS);
+        let epochs = fitted.report().epochs_run;
+        assert_eq!(epochs, 3, "{rows} rows");
+        // one per epoch, then one for the impute (index 0)
+        let indices: Vec<u64> = gnn_rows.iter().map(|&(i, _)| i).collect();
+        assert_eq!(indices, [0, 1, 2, 0], "{rows} rows");
+        for &(_, value) in &gnn_rows {
+            let value = value as usize;
+            assert!(
+                (cells..=cells + 3).contains(&value),
+                "{rows} rows: {value} computed rows for {cells} cell nodes"
+            );
+        }
+        per_size.push(gnn_rows[0].1);
+    }
+    assert_eq!(
+        per_size[0], per_size[1],
+        "rows computed grew with the table"
+    );
 }

@@ -6,7 +6,7 @@
 //! A pin that fails means the training path changed numerically. If the
 //! change is intended, record why in EXPERIMENTS.md before updating it.
 
-use grimp::{FederatedConfig, FederatedGrimp, GnnMc, GrimpConfig};
+use grimp::{FederatedConfig, FederatedGrimp, GnnMc, GrimpConfig, Pipeline, SamplerConfig};
 use grimp_table::csv::to_csv_string;
 use grimp_table::{check_imputation_contract, inject_mcar, ColumnKind, Schema, Table};
 use rand::rngs::StdRng;
@@ -127,3 +127,120 @@ const GNN_MC_VAL: &[u32] = &[
 const FEDAVG_DIGEST: u64 = 0x0a38_26bc_bdbe_249f;
 const FEDAVG_ROUNDS: &[u32] = &[0x4060_f1e9, 0x4071_33f9, 0x406c_3d71, 0x4065_07bf];
 const FEDAVG_PARAMS: usize = 1249;
+
+/// A deterministic mixed table of 2,003 rows — a count ≡ 3 (mod 4), so
+/// the GNN's cell-node rows do not start on a 4-row boundary — with three
+/// categorical columns (two in a functional relationship) and two
+/// numerical ones, 10 % of the cells blanked.
+fn sampled_table() -> Table {
+    let schema = Schema::from_pairs(&[
+        ("a", ColumnKind::Categorical),
+        ("b", ColumnKind::Categorical),
+        ("c", ColumnKind::Categorical),
+        ("x", ColumnKind::Numerical),
+        ("y", ColumnKind::Numerical),
+    ]);
+    let mut t = Table::empty(schema);
+    for i in 0..2003usize {
+        let a = format!("a{}", i % 7);
+        let b = format!("b{}", (i % 7) / 2);
+        let c = format!("c{}", (i * 5 + i / 3) % 11);
+        let x = format!("{}", (i % 7) as f64 * 3.0 + (i % 5) as f64 * 0.5);
+        let y = format!("{}", ((i * 37) % 101) as f64 / 4.0);
+        t.push_str_row(&[Some(&a), Some(&b), Some(&c), Some(&x), Some(&y)]);
+    }
+    inject_mcar(&mut t, 0.1, &mut StdRng::seed_from_u64(9));
+    t
+}
+
+/// Neighbor-sampled training with a batch smaller than every task's
+/// sample pool, so each epoch refills every task's batch.
+fn sampled_config(layers: usize) -> GrimpConfig {
+    GrimpConfig {
+        gnn: grimp_gnn::GnnConfig {
+            layers,
+            hidden: 8,
+            ..Default::default()
+        },
+        max_epochs: 5,
+        patience: 5,
+        seed: 7,
+        sampler: Some(SamplerConfig {
+            batch_rows: 300,
+            fanout: 4,
+        }),
+        ..small_config()
+    }
+}
+
+/// The pins below were taken at the commit before the GNN computed its
+/// last layer and the merge over the cell-node rows only: that change
+/// must leave sampled training's numerics exactly where they were.
+#[test]
+fn sampled_fit_outputs_are_pinned() {
+    let dirty = sampled_table();
+    for (layers, pin) in [(1, &SAMPLED_1_LAYER), (2, &SAMPLED_2_LAYERS)] {
+        let fitted = Pipeline::new(sampled_config(layers))
+            .expect("valid config")
+            .fit(&dirty)
+            .expect("sampled fit");
+        let report = fitted.report();
+        assert_eq!(report.epochs.len(), 5, "{layers} layers: every epoch ran");
+        let imputed = fitted.impute(&dirty).expect("transductive impute");
+        check_imputation_contract(&dirty, &imputed).unwrap();
+        assert_eq!(digest(&imputed), pin.digest, "{layers} layers: imputed CSV");
+        assert_eq!(
+            bits(&report.train_losses()),
+            pin.train,
+            "{layers} layers: train losses"
+        );
+        assert_eq!(
+            bits(&report.val_losses()),
+            pin.val,
+            "{layers} layers: validation losses"
+        );
+    }
+}
+
+/// One sampled run's pins: the imputed CSV's digest and the bit patterns
+/// of every per-epoch summed train and validation loss.
+struct SampledPin {
+    digest: u64,
+    train: &'static [u32],
+    val: &'static [u32],
+}
+
+const SAMPLED_1_LAYER: SampledPin = SampledPin {
+    digest: 0xfd87_b09d_9f09_57aa,
+    train: &[
+        0x4107_b726,
+        0x40f5_dd6a,
+        0x40f8_1185,
+        0x40f8_3056,
+        0x40f5_fa58,
+    ],
+    val: &[
+        0x4108_e600,
+        0x40fa_113a,
+        0x40fb_0e94,
+        0x40f6_cc19,
+        0x40f3_64c2,
+    ],
+};
+const SAMPLED_2_LAYERS: SampledPin = SampledPin {
+    digest: 0x1ca2_eccf_f5c7_9cb6,
+    train: &[
+        0x416d_da98,
+        0x4106_544d,
+        0x40f7_a64d,
+        0x40f5_8d69,
+        0x40f7_3276,
+    ],
+    val: &[
+        0x4176_8b32,
+        0x410a_9122,
+        0x40f9_bbd1,
+        0x40f8_a1da,
+        0x40f7_be44,
+    ],
+};

@@ -10,4 +10,4 @@
 
 pub mod sage;
 
-pub use sage::{GnnConfig, HeteroSage, OperatorAssignment};
+pub use sage::{readout_rows, GnnConfig, HeteroSage, OperatorAssignment};

@@ -15,12 +15,13 @@
 //! Weights are **not** shared across sub-modules ("allows some independence
 //! between each column").
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use rand::{Rng, SeedableRng};
 
 use grimp_graph::TableGraph;
-use grimp_tensor::{init, Adjacency, Tape, Tensor, Var};
+use grimp_tensor::{init, Adjacency, Tape, Tensor, Var, GEMM_K_BLOCK};
 
 /// Hyperparameters of the heterogeneous GNN.
 #[derive(Clone, Copy, Debug)]
@@ -107,25 +108,38 @@ impl Module {
         }
     }
 
-    fn forward(&self, tape: &mut Tape, h: Var, adj: &TypeAdjacency) -> Var {
-        match self {
-            Module::Sage {
-                w_self,
-                w_neigh,
-                bias,
-            } => {
-                let neigh = tape.scatter_mean(h, Arc::clone(&adj.mean));
-                let self_part = tape.matmul(h, *w_self);
+    /// The sub-module's output for the node rows `rows` (its neighbors may
+    /// be any row of `h`). Over all rows the self term reads `h` itself;
+    /// over fewer it reads a row slice, taken after the aggregation so the
+    /// backward pass accumulates into `h` in the same order either way.
+    fn forward(&self, tape: &mut Tape, h: Var, adj: &TypeAdjacency, rows: Range<usize>) -> Var {
+        match (self, adj) {
+            (
+                Module::Sage {
+                    w_self,
+                    w_neigh,
+                    bias,
+                },
+                TypeAdjacency::Mean(mean),
+            ) => {
+                let all_rows = rows.start == 0 && rows.end == tape.value(h).rows();
+                let neigh = tape.scatter_mean_rows(h, Arc::clone(mean), rows.clone());
+                let h_rows = if all_rows {
+                    h
+                } else {
+                    tape.slice_rows(h, rows)
+                };
+                let self_part = tape.matmul(h_rows, *w_self);
                 let neigh_part = tape.matmul(neigh, *w_neigh);
                 let sum = tape.add(self_part, neigh_part);
                 tape.add_row_broadcast(sum, *bias)
             }
-            Module::Gcn { w, bias } => {
-                let agg =
-                    tape.scatter_weighted(h, Arc::clone(&adj.gcn), Arc::clone(&adj.gcn_weights));
+            (Module::Gcn { w, bias }, TypeAdjacency::Gcn { adj, weights }) => {
+                let agg = tape.scatter_weighted_rows(h, Arc::clone(adj), Arc::clone(weights), rows);
                 let z = tape.matmul(agg, *w);
                 tape.add_row_broadcast(z, *bias)
             }
+            _ => unreachable!("an edge type's adjacency is built for its operator"),
         }
     }
 
@@ -137,69 +151,103 @@ impl Module {
     }
 }
 
-/// Per-edge-type aggregation structures: the plain neighbor lists for
-/// GraphSAGE's mean, and the self-looped symmetric-normalized version for
-/// GCN.
+/// One edge type's aggregation structure, built for the operator its
+/// sub-modules use: the plain neighbor lists for GraphSAGE's mean, or their
+/// self-looped, symmetric-normalized version for GCN.
 #[derive(Clone)]
-struct TypeAdjacency {
-    mean: Arc<Adjacency>,
-    gcn: Arc<Adjacency>,
-    gcn_weights: Arc<Vec<f32>>,
+enum TypeAdjacency {
+    Mean(Arc<Adjacency>),
+    Gcn {
+        adj: Arc<Adjacency>,
+        weights: Arc<Vec<f32>>,
+    },
 }
 
 impl TypeAdjacency {
-    fn new(lists: &[Vec<u32>]) -> Self {
-        let (gcn, gcn_weights) = gcn_normalize(lists);
-        TypeAdjacency {
-            mean: Arc::new(Adjacency::from_lists(lists)),
-            gcn: Arc::new(gcn),
-            gcn_weights: Arc::new(gcn_weights),
+    fn new(lists: Adjacency, gcn: bool) -> Self {
+        if gcn {
+            let (adj, weights) = gcn_normalize(&lists);
+            TypeAdjacency::Gcn {
+                adj: Arc::new(adj),
+                weights: Arc::new(weights),
+            }
+        } else {
+            TypeAdjacency::Mean(Arc::new(lists))
         }
     }
 }
 
-/// Append self-loops and compute `1/sqrt((d_i+1)(d_j+1))` edge weights.
-fn gcn_normalize(lists: &[Vec<u32>]) -> (Adjacency, Vec<f32>) {
-    let deg: Vec<usize> = lists.iter().map(Vec::len).collect();
-    let mut with_self: Vec<Vec<u32>> = Vec::with_capacity(lists.len());
-    let mut weights = Vec::new();
-    for (i, list) in lists.iter().enumerate() {
-        let mut row = list.clone();
-        row.push(i as u32); // self-loop
-        for &j in &row {
-            let dj = deg[j as usize] + 1;
-            let di = deg[i] + 1;
+/// Append self-loops and compute `1/sqrt((d_i+1)(d_j+1))` edge weights,
+/// with every degree taken over all of `lists`.
+fn gcn_normalize(lists: &Adjacency) -> (Adjacency, Vec<f32>) {
+    let n = lists.n_rows();
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut targets = Vec::with_capacity(lists.n_edges() + n);
+    offsets.push(0u32);
+    let mut weights = Vec::with_capacity(lists.n_edges() + n);
+    for i in 0..n {
+        let di = lists.degree(i) + 1;
+        // the neighbors, then the self-loop
+        for &j in lists
+            .neighbors(i)
+            .iter()
+            .chain(std::iter::once(&(i as u32)))
+        {
+            targets.push(j);
+            let dj = lists.degree(j as usize) + 1;
             weights.push(1.0 / ((di * dj) as f32).sqrt());
         }
-        with_self.push(row);
+        offsets.push(u32::try_from(targets.len()).expect("edge count fits u32"));
     }
-    (Adjacency::from_lists(&with_self), weights)
+    (Adjacency::from_raw(offsets, targets), weights)
 }
 
-/// Build per-type CSR adjacencies, optionally subsampling each node's
-/// neighbor list to `cap` entries.
-fn build_adjacencies(
-    graph: &TableGraph,
-    cap: Option<usize>,
-    rng: &mut impl Rng,
-) -> Vec<TypeAdjacency> {
+/// Per-type CSR adjacencies of `graph`, each node's neighbor list
+/// optionally subsampled to `cap` entries.
+fn graph_adjacencies(graph: &TableGraph, cap: Option<usize>, rng: &mut impl Rng) -> Vec<Adjacency> {
     use rand::seq::SliceRandom;
     graph
-        .neighbor_lists()
+        .csr_adjacency()
         .into_iter()
-        .map(|mut lists| {
-            if let Some(cap) = cap {
-                for list in &mut lists {
-                    if list.len() > cap {
-                        list.shuffle(rng);
-                        list.truncate(cap);
-                        list.sort_unstable();
-                    }
+        .map(|csr| {
+            let (offsets, mut targets) = csr.into_raw();
+            let Some(cap) = cap else {
+                return Adjacency::from_raw(offsets, targets);
+            };
+            // Each long list is shuffled, cut to `cap` and sorted.
+            let mut kept_offsets = Vec::with_capacity(offsets.len());
+            kept_offsets.push(0u32);
+            let mut kept = Vec::with_capacity(targets.len());
+            for w in offsets.windows(2) {
+                let list = &mut targets[w[0] as usize..w[1] as usize];
+                if list.len() > cap {
+                    list.shuffle(rng);
+                    list[..cap].sort_unstable();
                 }
+                kept.extend_from_slice(&list[..list.len().min(cap)]);
+                kept_offsets.push(u32::try_from(kept.len()).expect("edge count fits u32"));
             }
-            TypeAdjacency::new(&lists)
+            Adjacency::from_raw(kept_offsets, kept)
         })
         .collect()
+}
+
+/// The node rows the task heads read: the cell nodes `n_rids..n_nodes`
+/// (vectors gather cell embeddings only, §3.3), with the start rounded
+/// down to a multiple of [`GEMM_K_BLOCK`]. A graph without cell nodes (a
+/// table with no observed value) keeps its last RID row, so that masked
+/// vector slots, which point at the range's first row, have a row to read.
+///
+/// Running the last layer and the merge over these rows instead of all
+/// nodes leaves every value the heads read, and every parameter gradient,
+/// bit-identical: the rows left out carry zero gradient, and with the
+/// aligned start the weight-gradient products sum the remaining rows in the
+/// same [`GEMM_K_BLOCK`]-row groups as the all-rows pass. The range is
+/// decided here only; callers hand it to [`HeteroSage::forward_rows`] and
+/// rebase their gather indices onto its start.
+pub fn readout_rows(graph: &TableGraph) -> Range<usize> {
+    let first_cell = graph.n_rids().min(graph.n_nodes().saturating_sub(1));
+    first_cell / GEMM_K_BLOCK * GEMM_K_BLOCK..graph.n_nodes()
 }
 
 /// The heterogeneous GNN: `layers × edge_types` GraphSAGE sub-modules plus
@@ -240,13 +288,24 @@ impl HeteroSage {
                 .collect();
             modules.push(row);
         }
-        let adj = build_adjacencies(graph, config.neighbor_cap, rng);
-        HeteroSage {
+        let mut sage = HeteroSage {
             modules,
-            adj,
+            adj: Vec::new(),
             in_dim,
             config,
-        }
+        };
+        sage.bind(graph_adjacencies(graph, config.neighbor_cap, rng));
+        sage
+    }
+
+    /// Install per-type neighbor lists, each in the form its operator
+    /// aggregates over.
+    fn bind(&mut self, per_type: Vec<Adjacency>) {
+        self.adj = per_type
+            .into_iter()
+            .enumerate()
+            .map(|(t, lists)| TypeAdjacency::new(lists, self.config.operator.is_gcn(t)))
+            .collect();
     }
 
     /// Rebind the GNN to a different graph with the same number of edge
@@ -260,7 +319,7 @@ impl HeteroSage {
             "graph has a different number of edge types"
         );
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5a9e);
-        self.adj = build_adjacencies(graph, self.config.neighbor_cap, &mut rng);
+        self.bind(graph_adjacencies(graph, self.config.neighbor_cap, &mut rng));
     }
 
     /// Rebind the GNN to explicit per-type neighbor lists (shaped like
@@ -276,26 +335,46 @@ impl HeteroSage {
             self.modules[0].len(),
             "lists cover a different number of edge types"
         );
-        self.adj = per_type
-            .iter()
-            .map(|lists| TypeAdjacency::new(lists))
-            .collect();
+        self.bind(
+            per_type
+                .iter()
+                .map(|lists| Adjacency::from_lists(lists))
+                .collect(),
+        );
     }
 
     /// Message passing over all layers. `features` must be
     /// `n_nodes × in_dim`; the result is `n_nodes × hidden`.
     pub fn forward(&self, tape: &mut Tape, features: Var) -> Var {
+        let n = tape.value(features).rows();
+        self.forward_rows(tape, features, 0..n)
+    }
+
+    /// Message passing with the last layer computed for the node rows
+    /// `rows` only. Every earlier layer runs over all nodes, since the last
+    /// one aggregates from any of them; the result is `rows.len() ×
+    /// hidden`, its row `i` being node `rows.start + i`'s embedding with the
+    /// bits [`HeteroSage::forward`] gives it. Over [`readout_rows`] the
+    /// parameter gradients of a loss that reads only these rows are those
+    /// of the all-rows pass, bit for bit, too.
+    pub fn forward_rows(&self, tape: &mut Tape, features: Var, rows: Range<usize>) -> Var {
+        let (n, cols) = tape.value(features).shape();
         assert_eq!(
-            tape.value(features).cols(),
-            self.in_dim,
+            cols, self.in_dim,
             "feature width does not match GNN input dim"
         );
+        assert!(
+            rows.start <= rows.end && rows.end <= n,
+            "node rows {rows:?} beyond the {n} feature rows"
+        );
+        let last = self.modules.len() - 1;
         let mut h = features;
-        for row in &self.modules {
-            let per_type: Vec<Var> = row
+        for (layer, modules) in self.modules.iter().enumerate() {
+            let out_rows = if layer == last { rows.clone() } else { 0..n };
+            let per_type: Vec<Var> = modules
                 .iter()
                 .zip(&self.adj)
-                .map(|(module, adj)| module.forward(tape, h, adj))
+                .map(|(module, adj)| module.forward(tape, h, adj, out_rows.clone()))
                 .collect();
             let combined = tape.add_n(&per_type);
             h = tape.relu(combined);
@@ -561,11 +640,14 @@ mod tests {
         // the hot cell node has degree 50 uncapped; forward must behave as
         // if degree ≤ 4 — verify via the adjacency actually used
         for adj in &sage.adj {
-            for node in 0..adj.mean.n_rows() {
+            let TypeAdjacency::Mean(mean) = adj else {
+                panic!("GraphSAGE types aggregate plain lists");
+            };
+            for node in 0..mean.n_rows() {
                 assert!(
-                    adj.mean.degree(node) <= 4,
+                    mean.degree(node) <= 4,
                     "node {node} degree {}",
-                    adj.mean.degree(node)
+                    mean.degree(node)
                 );
             }
         }
@@ -595,7 +677,10 @@ mod tests {
             &mut rng,
         );
         let hot = g.cell_node(0, "hot").unwrap() as usize;
-        assert_eq!(sage.adj[0].mean.degree(hot), 20);
+        let TypeAdjacency::Mean(mean) = &sage.adj[0] else {
+            panic!("GraphSAGE types aggregate plain lists");
+        };
+        assert_eq!(mean.degree(hot), 20);
     }
 
     #[test]
@@ -644,7 +729,7 @@ mod tests {
     #[test]
     fn gcn_normalization_weights_are_symmetric_stochasticish() {
         // hand check: path graph 0-1 plus self loops
-        let lists = vec![vec![1u32], vec![0u32]];
+        let lists = Adjacency::from_lists(&[vec![1u32], vec![0u32]]);
         let (adj, w) = gcn_normalize(&lists);
         assert_eq!(adj.n_edges(), 4); // 2 edges + 2 self-loops
                                       // all degrees are 1 (+1 self) → every weight = 1/2

@@ -632,6 +632,12 @@ impl TypeCsr {
     pub fn neighbors_of(&self, node: usize) -> &[u32] {
         &self.neighbors[self.offsets[node] as usize..self.offsets[node + 1] as usize]
     }
+
+    /// The raw CSR arrays `(offsets, neighbors)`: node `v`'s neighbors are
+    /// `neighbors[offsets[v]..offsets[v + 1]]`.
+    pub fn into_raw(self) -> (Vec<u32>, Vec<u32>) {
+        (self.offsets, self.neighbors)
+    }
 }
 
 /// SplitMix64 — the statelessly seedable mixer the sampler derives its

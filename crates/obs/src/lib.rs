@@ -364,6 +364,11 @@ pub mod names {
     /// Directed edges kept by one epoch's neighbor sample (counter,
     /// index = epoch, value = edge count).
     pub const SAMPLED_EDGES: &str = "sampled_edges";
+    /// Node rows the GNN's last layer and the merge computed — the cell
+    /// nodes the task heads read, plus at most 3 rows aligning the start
+    /// (a graph without cell nodes keeps the RID rows of its last 4-row
+    /// group) (counter, index = epoch, 0 for an impute; value = row count).
+    pub const GNN_ROWS: &str = "gnn_rows";
     /// Checkpointing disabled for the rest of the run after persistent
     /// IO faults (counter, index = epoch).
     pub const CHECKPOINT_DISABLED: &str = "checkpoint_disabled";
@@ -490,6 +495,7 @@ pub mod names {
         BATCH_ROWS,
         FANOUT,
         SAMPLED_EDGES,
+        GNN_ROWS,
         CHECKPOINT_DISABLED,
         BACKEND,
         LOCK_RECLAIMED,

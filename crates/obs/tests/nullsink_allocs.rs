@@ -58,6 +58,7 @@ fn trace_heavy_loop(trace: &mut Trace<'_>, epochs: u64) -> f64 {
         trace.metric(names::TRAIN_LOSS, epoch, 1.0 / (epoch + 1) as f64);
         trace.metric(names::GRAD_NORM, epoch, 0.5);
         trace.counter(names::EPOCH_ALLOCS, epoch, 0);
+        trace.counter(names::GNN_ROWS, epoch, 178);
         for task in 0..4u64 {
             trace.metric(names::TASK_LOSS, task, 0.25);
         }

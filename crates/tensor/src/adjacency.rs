@@ -70,6 +70,14 @@ impl Adjacency {
         &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
+    /// Position of output row `i`'s first neighbor in the concatenated
+    /// target array (per-edge arrays aligned with it, such as GCN edge
+    /// weights, start row `i` here).
+    #[inline]
+    pub fn first_edge(&self, i: usize) -> usize {
+        self.offsets[i] as usize
+    }
+
     /// Degree of output row `i`.
     #[inline]
     pub fn degree(&self, i: usize) -> usize {

@@ -36,6 +36,7 @@
 //! the 0-allocations-after-epoch-1 hot-path invariant.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -119,10 +120,22 @@ pub trait TensorBackend {
     /// `out = a · bᵀ`, overwriting `out`.
     fn matmul_nt_into(&self, a: &Tensor, b: &Tensor, out: &mut Tensor);
 
-    /// Neighborhood mean: `out[i] = mean of a[j] over j ∈ adj(i)`, a zero
-    /// row when `adj(i)` is empty (degree-0 targets must not divide by
-    /// zero). Overwrites every element of `out`.
-    fn scatter_mean_into(&self, a: &Tensor, adj: &Adjacency, out: &mut Tensor);
+    /// Neighborhood mean of the adjacency rows `rows`: `out[i - rows.start]
+    /// = mean of a[j] over j ∈ adj(i)`, a zero row when `adj(i)` is empty
+    /// (degree-0 targets must not divide by zero). `out` is `rows.len() ×
+    /// a.cols()`; every element is overwritten.
+    fn scatter_mean_rows_into(
+        &self,
+        a: &Tensor,
+        adj: &Adjacency,
+        rows: Range<usize>,
+        out: &mut Tensor,
+    );
+
+    /// [`TensorBackend::scatter_mean_rows_into`] over every adjacency row.
+    fn scatter_mean_into(&self, a: &Tensor, adj: &Adjacency, out: &mut Tensor) {
+        self.scatter_mean_rows_into(a, adj, 0..adj.n_rows(), out);
+    }
 
     /// Total (unaveraged) cross-entropy loss `Σ_i -ln(max(p_ti, CE_P_MIN))`
     /// over the rows of `logits`, reduced in fixed [`CE_CHUNK`]-row chunks.
@@ -317,9 +330,15 @@ impl TensorBackend for SerialBackend {
         a.matmul_nt_into(b, out);
     }
 
-    fn scatter_mean_into(&self, a: &Tensor, adj: &Adjacency, out: &mut Tensor) {
-        debug_assert_eq!(out.shape(), (adj.n_rows(), a.cols()));
-        scatter_mean_rows(a, adj, 0, adj.n_rows(), out.as_mut_slice());
+    fn scatter_mean_rows_into(
+        &self,
+        a: &Tensor,
+        adj: &Adjacency,
+        rows: Range<usize>,
+        out: &mut Tensor,
+    ) {
+        debug_assert_eq!(out.shape(), (rows.len(), a.cols()));
+        scatter_mean_rows(a, adj, rows.start, rows.end, out.as_mut_slice());
     }
 
     fn softmax_ce_loss(&self, logits: &Tensor, targets: &[u32]) -> f64 {
@@ -677,18 +696,25 @@ impl TensorBackend for ParallelBackend {
         });
     }
 
-    fn scatter_mean_into(&self, a: &Tensor, adj: &Adjacency, out: &mut Tensor) {
+    fn scatter_mean_rows_into(
+        &self,
+        a: &Tensor,
+        adj: &Adjacency,
+        rows: Range<usize>,
+        out: &mut Tensor,
+    ) {
         assert_eq!(
             out.shape(),
-            (adj.n_rows(), a.cols()),
+            (rows.len(), a.cols()),
             "scatter_mean output shape mismatch"
         );
         let cols = a.cols();
+        let first = rows.start;
         let op = SendPtr(out.as_mut_slice().as_mut_ptr());
-        self.par_ranges(adj.n_rows(), &|r0, r1| {
+        self.par_ranges(rows.len(), &|r0, r1| {
             // SAFETY: ranges are disjoint by `part_range` construction.
             let chunk = unsafe { op.slice(r0 * cols, (r1 - r0) * cols) };
-            scatter_mean_rows(a, adj, r0, r1, chunk);
+            scatter_mean_rows(a, adj, first + r0, first + r1, chunk);
         });
     }
 

@@ -250,4 +250,34 @@ mod tests {
         );
         assert!(rep.passes(TOL), "{rep:?}");
     }
+
+    #[test]
+    fn gradcheck_row_slices_and_row_range_scatters() {
+        // Five output rows over four input rows; row 3 has degree 0, and
+        // each op reads a different row window.
+        let params = vec![t(4, 2, &[0.5, -0.5, 0.25, 1.0, -1.0, 0.75, 0.3, -0.2])];
+        let adj = Arc::new(Adjacency::from_lists(&[
+            vec![1, 2],
+            vec![0],
+            vec![0, 1, 3],
+            vec![],
+            vec![2, 3],
+        ]));
+        let weights: Arc<Vec<f32>> =
+            Arc::new((0..adj.n_edges()).map(|e| 0.25 + 0.1 * e as f32).collect());
+        let rep = check_gradients(
+            &params,
+            move |tape, vars| {
+                let m = tape.scatter_mean_rows(vars[0], adj.clone(), 2..5);
+                let w = tape.scatter_weighted_rows(vars[0], adj.clone(), weights.clone(), 1..4);
+                let s = tape.slice_rows(vars[0], 1..4);
+                let sum = tape.add(m, w);
+                let sum = tape.add(sum, s);
+                let sq = tape.mul_elem(sum, sum);
+                tape.sum_all(sq)
+            },
+            EPS,
+        );
+        assert!(rep.passes(TOL), "{rep:?}");
+    }
 }

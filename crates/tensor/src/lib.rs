@@ -57,5 +57,5 @@ pub use tape::{
     block_weighted_sum_into, scatter_mean_into, scatter_weighted_into, softmax_rows,
     softmax_rows_in_place, BackwardStats, Tape, Var,
 };
-pub use tensor::Tensor;
+pub use tensor::{Tensor, GEMM_K_BLOCK};
 pub use workspace::{Workspace, WorkspaceStats};

@@ -18,6 +18,7 @@
 //! free lists: zero heap allocation in steady state, observable through
 //! [`Tape::workspace_stats`].
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::adjacency::Adjacency;
@@ -83,12 +84,15 @@ enum Op {
     Sigmoid(Var),
     /// `out[i] = a[idx[i]]` row gather (embedding lookup).
     GatherRows(Var, Arc<Vec<u32>>),
-    /// `out[i] = mean of a[j] over j ∈ adj(i)`; zero row when degree 0.
-    ScatterMean(Var, Arc<Adjacency>),
-    /// `out[i] = Σ_j w[e] · a[j]` over edges `e = (i, j)` of the adjacency,
-    /// with one constant weight per CSR target entry (GCN-style normalized
-    /// aggregation).
-    ScatterWeighted(Var, Arc<Adjacency>, Arc<Vec<f32>>),
+    /// Contiguous row slice: `out[i] = a[first + i]`.
+    SliceRows(Var, usize),
+    /// `out[i] = mean of a[j] over j ∈ adj(first + i)`; zero row when
+    /// degree 0. The output covers adjacency rows `first..first + rows`.
+    ScatterMean(Var, Arc<Adjacency>, usize),
+    /// `out[i] = Σ_j w[e] · a[j]` over edges `e = (first + i, j)` of the
+    /// adjacency, with one constant weight per CSR target entry (GCN-style
+    /// normalized aggregation).
+    ScatterWeighted(Var, Arc<Adjacency>, Arc<Vec<f32>>, usize),
     /// Horizontal concatenation of matrices with equal row counts.
     ConcatCols(Vec<Var>),
     /// Column slice `a[:, start..end]`.
@@ -597,10 +601,37 @@ impl Tape {
         self.push(value, Op::GatherRows(a, idx), ng)
     }
 
+    /// Contiguous row slice `a[rows]`.
+    pub fn slice_rows(&mut self, a: Var, rows: Range<usize>) -> Var {
+        let (src_rows, cols) = self.nodes[a.idx()].value.shape();
+        assert!(
+            rows.start <= rows.end && rows.end <= src_rows,
+            "row slice out of bounds"
+        );
+        let mut value = self.ws.raw(rows.len(), cols);
+        value.as_mut_slice().copy_from_slice(
+            &self.nodes[a.idx()].value.as_slice()[rows.start * cols..rows.end * cols],
+        );
+        let ng = self.needs(a);
+        self.push(value, Op::SliceRows(a, rows.start), ng)
+    }
+
     /// Neighborhood mean: `out[i] = mean_{j ∈ adj(i)} a[j]`, zero when
     /// `adj(i)` is empty.
     pub fn scatter_mean(&mut self, a: Var, adj: Arc<Adjacency>) -> Var {
+        let rows = 0..adj.n_rows();
+        self.scatter_mean_rows(a, adj, rows)
+    }
+
+    /// [`Tape::scatter_mean`] of the adjacency rows `rows` only:
+    /// `out[i - rows.start] = mean_{j ∈ adj(i)} a[j]` for `i ∈ rows`, with
+    /// the neighbors `j` anywhere in `a`.
+    pub fn scatter_mean_rows(&mut self, a: Var, adj: Arc<Adjacency>, rows: Range<usize>) -> Var {
         let src = self.value(a);
+        assert!(
+            rows.start <= rows.end && rows.end <= adj.n_rows(),
+            "row range beyond the adjacency"
+        );
         assert!(
             adj.max_target_bound() <= src.rows(),
             "adjacency references row beyond input ({} > {})",
@@ -608,11 +639,12 @@ impl Tape {
             src.rows()
         );
         let cols = src.cols();
-        let mut value = self.ws.raw(adj.n_rows(), cols);
+        let first = rows.start;
+        let mut value = self.ws.raw(rows.len(), cols);
         self.backend
-            .scatter_mean_into(&self.nodes[a.idx()].value, &adj, &mut value);
+            .scatter_mean_rows_into(&self.nodes[a.idx()].value, &adj, rows, &mut value);
         let ng = self.needs(a);
-        self.push(value, Op::ScatterMean(a, adj), ng)
+        self.push(value, Op::ScatterMean(a, adj, first), ng)
     }
 
     /// Weighted neighborhood sum: `out[i] = Σ w[e] · a[j]` over the
@@ -624,6 +656,23 @@ impl Tape {
     /// # Panics
     /// Panics when `weights.len() != adj.n_edges()`.
     pub fn scatter_weighted(&mut self, a: Var, adj: Arc<Adjacency>, weights: Arc<Vec<f32>>) -> Var {
+        let rows = 0..adj.n_rows();
+        self.scatter_weighted_rows(a, adj, weights, rows)
+    }
+
+    /// [`Tape::scatter_weighted`] of the adjacency rows `rows` only:
+    /// `out[i - rows.start] = Σ w[e] · a[j]` over the edges `(i, j)` of
+    /// `i ∈ rows`, with the neighbors `j` anywhere in `a`.
+    ///
+    /// # Panics
+    /// Panics when `weights.len() != adj.n_edges()`.
+    pub fn scatter_weighted_rows(
+        &mut self,
+        a: Var,
+        adj: Arc<Adjacency>,
+        weights: Arc<Vec<f32>>,
+        rows: Range<usize>,
+    ) -> Var {
         let src = self.value(a);
         assert_eq!(
             weights.len(),
@@ -631,14 +680,19 @@ impl Tape {
             "one weight per adjacency edge"
         );
         assert!(
+            rows.start <= rows.end && rows.end <= adj.n_rows(),
+            "row range beyond the adjacency"
+        );
+        assert!(
             adj.max_target_bound() <= src.rows(),
             "adjacency references row beyond input"
         );
         let cols = src.cols();
-        let mut value = self.ws.raw(adj.n_rows(), cols);
-        scatter_weighted_into(&self.nodes[a.idx()].value, &adj, &weights, &mut value);
+        let first = rows.start;
+        let mut value = self.ws.raw(rows.len(), cols);
+        scatter_weighted_rows_into(&self.nodes[a.idx()].value, &adj, &weights, rows, &mut value);
         let ng = self.needs(a);
-        self.push(value, Op::ScatterWeighted(a, adj, weights), ng)
+        self.push(value, Op::ScatterWeighted(a, adj, weights, first), ng)
     }
 
     /// Horizontal concatenation.
@@ -982,19 +1036,28 @@ impl Tape {
                     self.accumulate(*a, da);
                 }
             }
-            Op::ScatterMean(a, adj) => {
+            Op::SliceRows(a, first) => {
                 if self.needs(*a) {
                     let (rows, cols) = self.nodes[a.idx()].value.shape();
                     let mut da = self.ws.zeroed(rows, cols);
-                    for i in 0..adj.n_rows() {
-                        let neigh = adj.neighbors(i);
+                    da.as_mut_slice()[first * cols..first * cols + grad.len()]
+                        .copy_from_slice(grad.as_slice());
+                    self.accumulate(*a, da);
+                }
+            }
+            Op::ScatterMean(a, adj, first) => {
+                if self.needs(*a) {
+                    let (rows, cols) = self.nodes[a.idx()].value.shape();
+                    let mut da = self.ws.zeroed(rows, cols);
+                    for r in 0..grad.rows() {
+                        let neigh = adj.neighbors(first + r);
                         if neigh.is_empty() {
                             continue;
                         }
                         let inv = 1.0 / neigh.len() as f32;
                         for &j in neigh {
                             let dst = da.row_slice_mut(j as usize);
-                            for (o, &g) in dst.iter_mut().zip(grad.row_slice(i)) {
+                            for (o, &g) in dst.iter_mut().zip(grad.row_slice(r)) {
                                 *o += g * inv;
                             }
                         }
@@ -1002,17 +1065,17 @@ impl Tape {
                     self.accumulate(*a, da);
                 }
             }
-            Op::ScatterWeighted(a, adj, weights) => {
+            Op::ScatterWeighted(a, adj, weights, first) => {
                 if self.needs(*a) {
                     let (rows, cols) = self.nodes[a.idx()].value.shape();
                     let mut da = self.ws.zeroed(rows, cols);
-                    let mut e = 0usize;
-                    for i in 0..adj.n_rows() {
-                        for &j in adj.neighbors(i) {
+                    let mut e = adj.first_edge(*first);
+                    for r in 0..grad.rows() {
+                        for &j in adj.neighbors(first + r) {
                             let w = weights[e];
                             e += 1;
                             let dst = da.row_slice_mut(j as usize);
-                            for (o, &g) in dst.iter_mut().zip(grad.row_slice(i)) {
+                            for (o, &g) in dst.iter_mut().zip(grad.row_slice(r)) {
                                 *o += w * g;
                             }
                         }
@@ -1209,15 +1272,28 @@ pub fn scatter_mean_into(a: &Tensor, adj: &Adjacency, out: &mut Tensor) {
 /// than skips, so a NaN in a zero-weighted source row propagates instead of
 /// being silently masked. Every element of `out` is overwritten.
 pub fn scatter_weighted_into(a: &Tensor, adj: &Adjacency, weights: &[f32], out: &mut Tensor) {
+    scatter_weighted_rows_into(a, adj, weights, 0..adj.n_rows(), out);
+}
+
+/// [`scatter_weighted_into`] of the adjacency rows `rows`: `out` is
+/// `rows.len() × a.cols()` and row `i - rows.start` receives output row
+/// `i`.
+fn scatter_weighted_rows_into(
+    a: &Tensor,
+    adj: &Adjacency,
+    weights: &[f32],
+    rows: Range<usize>,
+    out: &mut Tensor,
+) {
     debug_assert_eq!(
         weights.len(),
         adj.n_edges(),
         "one weight per adjacency edge"
     );
-    debug_assert_eq!(out.shape(), (adj.n_rows(), a.cols()));
-    let mut e = 0usize;
-    for i in 0..adj.n_rows() {
-        let out_row = out.row_slice_mut(i);
+    debug_assert_eq!(out.shape(), (rows.len(), a.cols()));
+    let mut e = adj.first_edge(rows.start);
+    for (r, i) in rows.enumerate() {
+        let out_row = out.row_slice_mut(r);
         out_row.fill(0.0);
         for &j in adj.neighbors(i) {
             let w = weights[e];

@@ -406,11 +406,22 @@ impl Tensor {
     }
 }
 
+/// Width of the blocks in which the GEMM kernels fold the shared (k)
+/// dimension: [`gemm_rows`] sweeps [`GEMM_K_BLOCK`] columns of `a` per pass
+/// and [`gemm_tn_strip`] sums the shared row dimension [`GEMM_K_BLOCK`] rows
+/// at a time, with a scalar tail for the remainder. A product over a suffix
+/// of `aᵀ · b`'s shared rows whose start is a multiple of this width is
+/// therefore summed in the same groups as the full product — which is what
+/// lets a row-restricted pass reproduce the full pass's weight gradients
+/// bit for bit when the rows it leaves out carry zero gradient.
+pub const GEMM_K_BLOCK: usize = 4;
+
 /// `out = a · b` with `a` being `m × k`, `b` being `k × n`. The k dimension
-/// is blocked four wide: each pass over an output row folds four rank-1
-/// updates into one sweep, giving four independent multiply-adds per element
-/// and no data-dependent branches (a zero in `a` contributes `0 · x`, so NaN
-/// and infinity propagate as IEEE arithmetic dictates).
+/// is blocked [`GEMM_K_BLOCK`] (four) wide: each pass over an output row
+/// folds four rank-1 updates into one sweep, giving four independent
+/// multiply-adds per element and no data-dependent branches (a zero in `a`
+/// contributes `0 · x`, so NaN and infinity propagate as IEEE arithmetic
+/// dictates).
 fn gemm_blocked(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -437,7 +448,7 @@ pub(crate) fn gemm_rows(
         let a_row = &a[i * k..(i + 1) * k];
         let out_row = &mut out[(i - r0) * n..(i - r0 + 1) * n];
         let mut kk = 0;
-        while kk + 4 <= k {
+        while kk + GEMM_K_BLOCK <= k {
             let a0 = a_row[kk];
             let a1 = a_row[kk + 1];
             let a2 = a_row[kk + 2];
@@ -450,7 +461,7 @@ pub(crate) fn gemm_rows(
             {
                 *o += a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3;
             }
-            kk += 4;
+            kk += GEMM_K_BLOCK;
         }
         for kr in kk..k {
             let av = a_row[kr];
@@ -493,7 +504,7 @@ pub(crate) fn gemm_tn_strip(
     debug_assert_eq!(out.len(), (i1 - i0) * n);
     out.fill(0.0);
     let mut kk = 0;
-    while kk + 4 <= r {
+    while kk + GEMM_K_BLOCK <= r {
         let (a0, rest) = a[kk * c..].split_at(c);
         let (a1, rest) = rest.split_at(c);
         let (a2, rest) = rest.split_at(c);
@@ -513,7 +524,7 @@ pub(crate) fn gemm_tn_strip(
                 *o += x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3;
             }
         }
-        kk += 4;
+        kk += GEMM_K_BLOCK;
     }
     for kr in kk..r {
         let a_row = &a[kr * c..(kr + 1) * c];

@@ -78,6 +78,39 @@ proptest! {
     }
 
     #[test]
+    fn scatter_mean_row_range_parity(
+        cols in 1usize..8,
+        lists in proptest::collection::vec(proptest::collection::vec(0u32..6, 0..4), 1..10),
+        vals in proptest::collection::vec(-2.0f32..2.0, 8),
+    ) {
+        // Every suffix and every window of the adjacency rows: the range
+        // kernel must reproduce those rows of the full kernel on every
+        // backend, degree-0 rows included.
+        let serial = SerialBackend;
+        let a = tensor_for(6, cols, &vals);
+        let adj = Adjacency::from_lists(&lists);
+        let full = serial.scatter_mean(&a, &adj);
+        let n = lists.len();
+        for start in 0..=n {
+            for end in start..=n {
+                let mut want = Tensor::zeros(end - start, cols);
+                serial.scatter_mean_rows_into(&a, &adj, start..end, &mut want);
+                for (r, i) in (start..end).enumerate() {
+                    for (x, y) in want.row_slice(r).iter().zip(full.row_slice(i)) {
+                        prop_assert_eq!(x.to_bits(), y.to_bits(), "row {} of {}..{}", i, start, end);
+                    }
+                }
+                for threads in THREAD_COUNTS {
+                    let par = ParallelBackend::new(threads);
+                    let mut got = Tensor::full(end - start, cols, f32::NAN);
+                    par.scatter_mean_rows_into(&a, &adj, start..end, &mut got);
+                    assert_bits_eq(&got, &want, "scatter_mean_rows");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn softmax_ce_parity(
         rows in 1usize..200, // crosses several 64-row CE reduction chunks
         classes in 2usize..6,
@@ -115,6 +148,48 @@ proptest! {
             let adj = Arc::new(Adjacency::from_lists(&[vec![0, 3], vec![], vec![2]]));
             let m = tape.scatter_mean(h, adj);
             let loss = tape.softmax_cross_entropy(m, Arc::new(vec![0u32, 1, 2]));
+            tape.backward(loss);
+            (tape.value(loss).item(), tape.grad(wv).unwrap().clone())
+        };
+        let (serial_loss, serial_grad) = run(BackendKind::Serial);
+        for threads in THREAD_COUNTS {
+            let (loss, grad) = run(BackendKind::Parallel { threads });
+            prop_assert_eq!(loss.to_bits(), serial_loss.to_bits(), "{} threads", threads);
+            assert_bits_eq(&grad, &serial_grad, "weight gradient");
+        }
+    }
+
+    #[test]
+    fn row_restricted_tape_step_parity(
+        w in proptest::collection::vec(-1.0f32..1.0, 6),
+        x in proptest::collection::vec(-1.0f32..1.0, 10),
+        start in 0usize..4,
+    ) {
+        // The row-restricted ops (row slice, row-range mean and weighted
+        // aggregations) in one training step: the loss and the parameter
+        // gradient must agree bit-for-bit across backends.
+        let run = |kind: BackendKind| {
+            let mut tape = Tape::new();
+            tape.set_backend(kind);
+            let wv = tape.param(Tensor::from_vec(2, 3, w.clone()));
+            let xv = tape.input(Tensor::from_vec(5, 2, x.clone()));
+            tape.freeze();
+            let h = tape.matmul(xv, wv);
+            let adj = Arc::new(Adjacency::from_lists(&[
+                vec![0, 3],
+                vec![],
+                vec![2, 4],
+                vec![1],
+                vec![0, 1, 2],
+            ]));
+            let weights = Arc::new((0..adj.n_edges()).map(|e| 1.0 / (e + 1) as f32).collect());
+            let rows = start..5;
+            let m = tape.scatter_mean_rows(h, Arc::clone(&adj), rows.clone());
+            let g = tape.scatter_weighted_rows(h, adj, weights, rows.clone());
+            let s = tape.slice_rows(h, rows.clone());
+            let sum = tape.add_n(&[m, g, s]);
+            let targets = (0..rows.len() as u32).map(|i| i % 3).collect();
+            let loss = tape.softmax_cross_entropy(sum, Arc::new(targets));
             tape.backward(loss);
             (tape.value(loss).item(), tape.grad(wv).unwrap().clone())
         };
