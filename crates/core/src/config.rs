@@ -456,6 +456,9 @@ impl GrimpConfig {
                 return Err(ConfigError::ZeroDim(name));
             }
         }
+        if self.gnn.neighbor_cap == Some(0) {
+            return Err(ConfigError::ZeroNeighborCap);
+        }
         if !(self.lr.is_finite() && self.lr > 0.0) {
             return Err(ConfigError::NonPositiveLearningRate(self.lr));
         }
@@ -506,6 +509,9 @@ pub enum ConfigError {
     ResumeWithoutCheckpointDir,
     /// A layer dimension is zero (the field name says which).
     ZeroDim(&'static str),
+    /// `gnn.neighbor_cap` is `Some(0)` — every capped adjacency would be
+    /// edgeless.
+    ZeroNeighborCap,
     /// The learning rate is zero, negative, or non-finite.
     NonPositiveLearningRate(f32),
     /// The validation fraction is outside `[0, 1)` or non-finite.
@@ -549,6 +555,7 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "--resume requires --checkpoint-dir DIR")
             }
             ConfigError::ZeroDim(name) => write!(f, "{name} must be at least 1"),
+            ConfigError::ZeroNeighborCap => write!(f, "gnn.neighbor_cap must be at least 1"),
             ConfigError::NonPositiveLearningRate(lr) => {
                 write!(f, "learning rate must be finite and positive, got {lr}")
             }
@@ -859,6 +866,26 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ConfigError::ResumeWithoutCheckpointDir);
         assert!(err.to_string().contains("--checkpoint-dir"));
+    }
+
+    #[test]
+    fn a_zero_neighbor_cap_is_a_config_error() {
+        let capped = |cap| GrimpConfig {
+            gnn: GnnConfig {
+                neighbor_cap: Some(cap),
+                ..GnnConfig::default()
+            },
+            ..GrimpConfig::paper()
+        };
+        assert_eq!(capped(0).validate(), Err(ConfigError::ZeroNeighborCap));
+        assert_eq!(
+            GrimpConfig::builder()
+                .gnn(capped(0).gnn)
+                .build()
+                .unwrap_err(),
+            ConfigError::ZeroNeighborCap
+        );
+        assert!(capped(1).validate().is_ok());
     }
 
     #[test]

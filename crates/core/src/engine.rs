@@ -166,15 +166,12 @@ pub(crate) struct Encoder {
 /// before the features are registered and the tape frozen.
 ///
 /// `prune` edits the corpus before the validation cells are cut out of the
-/// graph. With `delta_from = Some(base_rows)` (append fine-tune) the graph
-/// is grown from the base rows' build via [`TableGraph::append_rows`],
-/// bit-identical to a from-scratch build.
+/// graph.
 pub(crate) fn build_encoder<H>(
     cfg: &GrimpConfig,
     normalizer: Normalizer,
     table: &Table,
     prune: impl FnOnce(&mut Corpus),
-    delta_from: Option<usize>,
     trace: &mut Trace<'_>,
     heads: impl FnOnce(&mut Tape, &Table, &TableGraph, &NodeFeatures, &mut StdRng) -> H,
 ) -> (Encoder, Tape, H) {
@@ -193,35 +190,7 @@ pub(crate) fn build_encoder<H>(
         .collect();
 
     // Graph without validation edges (§3.6) — test cells are already ∅.
-    // Sampled mode builds it in row chunks of `batch_rows` so the peak
-    // transient footprint scales with the batch, not the table; the result
-    // is bit-identical to the monolithic build.
-    let graph = match &cfg.sampler {
-        Some(s) => {
-            TableGraph::build_chunked_traced(&norm, cfg.graph, &excluded, s.batch_rows, trace)
-        }
-        None => match delta_from {
-            // Append-delta path: grow the base graph by the appended rows
-            // (CSR segment append + value-node dictionary growth) instead
-            // of rebuilding from scratch. `append_rows` is proptest-proven
-            // bit-identical to the monolithic build, so a capped graph (or
-            // any other rejection) can just fall back to scratch.
-            Some(base_rows) if base_rows <= norm.n_rows() => {
-                let base_excluded: Vec<(usize, usize)> = excluded
-                    .iter()
-                    .copied()
-                    .filter(|&(i, _)| i < base_rows)
-                    .collect();
-                let base = norm.head(base_rows);
-                let mut g = TableGraph::build_traced(&base, cfg.graph, &base_excluded, trace);
-                match g.append_rows(&norm, &excluded) {
-                    Ok(()) => g,
-                    Err(_) => TableGraph::build_traced(&norm, cfg.graph, &excluded, trace),
-                }
-            }
-            _ => TableGraph::build_traced(&norm, cfg.graph, &excluded, trace),
-        },
-    };
+    let graph = TableGraph::build_traced(&norm, cfg.graph, &excluded, trace);
 
     // Feature init. The FastText arm captures its seed so the fitted model
     // can recompute identical features on unseen tables; drawing exactly

@@ -121,7 +121,6 @@ impl GnnMc {
             Normalizer::fit(dirty),
             dirty,
             |_| {},
-            None,
             &mut trace,
             |tape, norm, graph, _, rng| {
                 let domain = GlobalDomain::build(graph);

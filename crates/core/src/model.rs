@@ -29,7 +29,7 @@ use rand::seq::SliceRandom;
 
 use grimp_gnn::{readout_rows, HeteroSage};
 use grimp_graph::{fasttext_features, FeatureSource, NeighborSampler, TableGraph};
-use grimp_obs::{names, EventSink, NullSink, Trace};
+use grimp_obs::{names, splitmix64, EventSink, NullSink, Trace};
 use grimp_table::{ColumnKind, FdSet, Imputer, Normalizer, Table, TrainingSample, Value};
 use grimp_tensor::{Mlp, Tape, Tensor, Var};
 
@@ -112,12 +112,23 @@ impl Grimp {
 
     /// [`Grimp::fit_impute`] with structured events streamed into `sink`.
     ///
-    /// This entry point is infallible by contract: the only fit-time error
-    /// (a zero-column table) has nothing to impute, so the input comes back
-    /// unchanged, and the training-table impute path cannot fail.
+    /// Given a valid configuration this entry point cannot fail: the only
+    /// fit-time error (a zero-column table) has nothing to impute, so the
+    /// input comes back unchanged, and the training-table impute path
+    /// cannot fail.
     ///
     /// The report's [`TrainReport::seconds`] covers the fit and the impute.
+    ///
+    /// # Panics
+    /// If `gnn.neighbor_cap` is `Some(0)`, which [`crate::Pipeline::new`]
+    /// rejects as [`crate::ConfigError::ZeroNeighborCap`]. This entry point
+    /// does not run [`GrimpConfig::validate`] otherwise: it also trains
+    /// configurations that only the engine itself may set, such as a
+    /// sampled run that resumes.
     pub fn fit_impute_traced(&mut self, dirty: &Table, sink: &mut dyn EventSink) -> Table {
+        if self.config.gnn.neighbor_cap == Some(0) {
+            panic!("{}", crate::ConfigError::ZeroNeighborCap);
+        }
         let fitted = match fit_model(&self.config, &self.fds, dirty, sink) {
             Ok(f) => f,
             Err(_) => return dirty.clone(),
@@ -541,12 +552,10 @@ pub(crate) fn fit_model(
 /// already-trained base table and only the appended tail contributes
 /// training samples — a warm-start fine-tune. The model structure (graph,
 /// features, tape shapes) is still that of the whole concatenated table:
-/// the graph is grown from the base build via
-/// [`TableGraph::append_rows`] (bit-identical to a from-scratch build),
-/// validation spans the whole table, and a post-loop drift check compares
-/// the last validation loss against the run's best, scheduling a full
-/// refit in the report when the regression exceeds
-/// [`crate::FinetuneConfig::drift_band`].
+/// the graph is built over all of it, validation spans the whole table,
+/// and a post-loop drift check compares the last validation loss against
+/// the run's best, scheduling a full refit in the report when the
+/// regression exceeds [`crate::FinetuneConfig::drift_band`].
 pub(crate) fn fit_model_delta(
     config: &GrimpConfig,
     fds: &FdSet,
@@ -696,8 +705,7 @@ pub(crate) fn build(
             })
             .collect::<Vec<Task>>()
     };
-    let (mut enc, tape, tasks) =
-        build_encoder(&cfg, normalizer, dirty, prune, delta_from, trace, heads);
+    let (mut enc, tape, tasks) = build_encoder(&cfg, normalizer, dirty, prune, trace, heads);
 
     // Pre-build the per-task batches. Full-batch mode fixes them for the
     // whole run; sampled mode carves a fixed-shape mini-batch per task
@@ -1110,15 +1118,6 @@ fn attribute_q_init(
 /// sampler's streams (which chain from the bare `seed ^ epoch`).
 const BATCH_STREAM_TAG: u64 = 0x4241_5443_4852_5753; // "BATCHRWS"
 
-/// SplitMix64 mixer — same finalizer the neighbor sampler uses, so every
-/// per-epoch draw in sampled mode is a pure function of its key.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// One task's full training pool in sampled mode: every sample the task
 /// owns, kept so each epoch can re-draw a fixed-size mini-batch from it.
 /// Only tasks whose pool exceeds `batch_rows` get one — smaller tasks keep
@@ -1362,6 +1361,16 @@ mod tests {
         let mut model = Grimp::new(tiny_config(TaskKind::Attention));
         let imputed = model.fit_impute(&dirty);
         check_imputation_contract(&dirty, &imputed).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "gnn.neighbor_cap must be at least 1")]
+    fn fit_impute_rejects_a_zero_neighbor_cap_before_training() {
+        let mut dirty = functional_table(40);
+        inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(1));
+        let mut config = tiny_config(TaskKind::Attention);
+        config.gnn.neighbor_cap = Some(0);
+        Grimp::new(config).fit_impute(&dirty);
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! on, so no ground truth is needed. The probe uses a reduced epoch budget;
 //! the winner is returned with its full budget restored.
 
+use grimp_obs::NullSink;
 use grimp_table::{FdSet, Table};
 
 use crate::config::GrimpConfig;
-use crate::model::Grimp;
+use crate::model::fit_model;
 
 /// One candidate's probe outcome.
 #[derive(Clone, Debug)]
@@ -22,7 +23,8 @@ pub struct ProbeResult {
     pub val_loss: f32,
     /// Probe epochs actually run.
     pub epochs_run: usize,
-    /// Probe wall-clock seconds.
+    /// Wall-clock seconds of the probe fit alone (its
+    /// [`crate::TrainReport::seconds`]); probes impute nothing.
     pub seconds: f64,
 }
 
@@ -49,7 +51,7 @@ impl Default for TunerConfig {
 /// best-first.
 ///
 /// # Panics
-/// Panics when `candidates` is empty.
+/// Panics when `candidates` is empty or `dirty` has no columns.
 pub fn select_config(
     dirty: &Table,
     fds: &FdSet,
@@ -67,9 +69,9 @@ pub fn select_config(
             patience: tuner.probe_patience,
             ..config.clone()
         };
-        let mut model = Grimp::with_fds(probe_cfg, fds.clone());
-        let _ = model.fit_impute(dirty);
-        let report = model.last_report().expect("probe fit ran");
+        let fitted = fit_model(&probe_cfg, fds, dirty, &mut NullSink)
+            .expect("a table with columns always fits");
+        let report = fitted.report();
         let val_loss = report
             .val_losses()
             .into_iter()

@@ -18,9 +18,9 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use grimp_graph::TableGraph;
+use grimp_graph::{NeighborSampler, TableGraph};
 use grimp_tensor::{init, Adjacency, Tape, Tensor, Var, GEMM_K_BLOCK};
 
 /// Hyperparameters of the heterogeneous GNN.
@@ -31,11 +31,14 @@ pub struct GnnConfig {
     /// Width of every layer (`#P_GNN`; paper default 64).
     pub hidden: usize,
     /// Optional neighbor-sampling cap: at most this many neighbors per
-    /// node per edge type are kept (uniformly sampled). This implements
-    /// the graph-pruning efficiency direction of the paper's §7 — the
-    /// original GraphSAGE neighborhood sampling — trading a little accuracy
-    /// on high-degree cell nodes for linear-in-cap aggregation cost.
-    /// `None` aggregates over the full neighborhood (the paper's default).
+    /// node per edge type are kept, drawn uniformly without replacement by
+    /// a [`grimp_graph::NeighborSampler`] at a fixed key and epoch, so every
+    /// binding of one graph keeps the same neighbors and no draw comes from
+    /// the training RNG. This implements the graph-pruning efficiency
+    /// direction of the paper's §7 — the original GraphSAGE neighborhood
+    /// sampling — trading a little accuracy on high-degree cell nodes for
+    /// linear-in-cap aggregation cost. `None` aggregates over the full
+    /// neighborhood (the paper's default); `Some(0)` is invalid.
     pub neighbor_cap: Option<usize>,
     /// Which convolution operator the sub-modules use. The paper notes each
     /// sub-module could use a different architecture ("l11 using GCN, l12
@@ -202,35 +205,10 @@ fn gcn_normalize(lists: &Adjacency) -> (Adjacency, Vec<f32>) {
     (Adjacency::from_raw(offsets, targets), weights)
 }
 
-/// Per-type CSR adjacencies of `graph`, each node's neighbor list
-/// optionally subsampled to `cap` entries.
-fn graph_adjacencies(graph: &TableGraph, cap: Option<usize>, rng: &mut impl Rng) -> Vec<Adjacency> {
-    use rand::seq::SliceRandom;
-    graph
-        .csr_adjacency()
-        .into_iter()
-        .map(|csr| {
-            let (offsets, mut targets) = csr.into_raw();
-            let Some(cap) = cap else {
-                return Adjacency::from_raw(offsets, targets);
-            };
-            // Each long list is shuffled, cut to `cap` and sorted.
-            let mut kept_offsets = Vec::with_capacity(offsets.len());
-            kept_offsets.push(0u32);
-            let mut kept = Vec::with_capacity(targets.len());
-            for w in offsets.windows(2) {
-                let list = &mut targets[w[0] as usize..w[1] as usize];
-                if list.len() > cap {
-                    list.shuffle(rng);
-                    list[..cap].sort_unstable();
-                }
-                kept.extend_from_slice(&list[..list.len().min(cap)]);
-                kept_offsets.push(u32::try_from(kept.len()).expect("edge count fits u32"));
-            }
-            Adjacency::from_raw(kept_offsets, kept)
-        })
-        .collect()
-}
+/// The fixed sampler key and epoch of a [`GnnConfig::neighbor_cap`] draw:
+/// every binding of one graph draws the same capped lists.
+const NEIGHBOR_CAP_SEED: u64 = 0x5a9e;
+const NEIGHBOR_CAP_EPOCH: u64 = 0;
 
 /// The node rows the task heads read: the cell nodes `n_rids..n_nodes`
 /// (vectors gather cell embeddings only, §3.3), with the start rounded
@@ -294,8 +272,30 @@ impl HeteroSage {
             in_dim,
             config,
         };
-        sage.bind(graph_adjacencies(graph, config.neighbor_cap, rng));
+        sage.bind_graph(graph);
         sage
+    }
+
+    /// Install `graph`'s per-type neighbor lists: whole, or drawn down to
+    /// `neighbor_cap` by the [`NeighborSampler`] at a fixed key and epoch.
+    fn bind_graph(&mut self, graph: &TableGraph) {
+        match self.config.neighbor_cap {
+            None => self.bind(
+                graph
+                    .csr_adjacency()
+                    .into_iter()
+                    .map(|csr| {
+                        let (offsets, targets) = csr.into_raw();
+                        Adjacency::from_raw(offsets, targets)
+                    })
+                    .collect(),
+            ),
+            Some(cap) => {
+                let mut sampler = NeighborSampler::new(graph, NEIGHBOR_CAP_SEED, cap);
+                sampler.sample_epoch(NEIGHBOR_CAP_EPOCH);
+                self.rebind_lists(sampler.lists());
+            }
+        }
     }
 
     /// Install per-type neighbor lists, each in the form its operator
@@ -310,16 +310,15 @@ impl HeteroSage {
 
     /// Rebind the GNN to a different graph with the same number of edge
     /// types (used when the underlying table's edges change, e.g. fresh
-    /// corruption or inductive reuse, while keeping trained weights).
-    /// Neighbor sampling (when configured) is re-drawn deterministically.
+    /// corruption or inductive reuse, while keeping trained weights). The
+    /// lists are those [`HeteroSage::new`] binds for the same graph.
     pub fn rebind(&mut self, graph: &TableGraph) {
         assert_eq!(
             graph.n_edge_types(),
             self.modules[0].len(),
             "graph has a different number of edge types"
         );
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5a9e);
-        self.bind(graph_adjacencies(graph, self.config.neighbor_cap, &mut rng));
+        self.bind_graph(graph);
     }
 
     /// Rebind the GNN to explicit per-type neighbor lists (shaped like
@@ -416,7 +415,7 @@ mod tests {
     use grimp_graph::GraphConfig;
     use grimp_table::{ColumnKind, Schema, Table};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn graph() -> (Table, TableGraph) {
         let schema = Schema::from_pairs(&[
@@ -655,6 +654,56 @@ mod tests {
         let x = tape.input(Tensor::full(g.n_nodes(), 4, 0.5));
         let h = sage.forward(&mut tape, x);
         assert!(tape.value(h).all_finite());
+    }
+
+    #[test]
+    fn capped_new_and_rebind_bind_the_fixed_sampler_draw() {
+        let schema = Schema::from_pairs(&[
+            ("a", ColumnKind::Categorical),
+            ("b", ColumnKind::Categorical),
+        ]);
+        let rows: Vec<Vec<Option<&str>>> = (0..30)
+            .map(|i| vec![Some("hot"), Some(["p", "q", "r"][i % 3])])
+            .collect();
+        let t = Table::from_rows(schema, &rows);
+        let g = TableGraph::build(&t, GraphConfig::default(), &[]);
+        let cfg = GnnConfig {
+            layers: 1,
+            hidden: 8,
+            neighbor_cap: Some(4),
+            ..Default::default()
+        };
+        let bound = |sage: &HeteroSage| -> Vec<Vec<Vec<u32>>> {
+            sage.adj
+                .iter()
+                .map(|adj| {
+                    let TypeAdjacency::Mean(mean) = adj else {
+                        panic!("GraphSAGE types aggregate plain lists");
+                    };
+                    (0..mean.n_rows())
+                        .map(|v| mean.neighbors(v).to_vec())
+                        .collect()
+                })
+                .collect()
+        };
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut sage = HeteroSage::new(&mut Tape::new(), &g, 4, cfg, &mut rng);
+        let at_new = bound(&sage);
+        let mut sampler = NeighborSampler::new(&g, NEIGHBOR_CAP_SEED, 4);
+        sampler.sample_epoch(NEIGHBOR_CAP_EPOCH);
+        assert_eq!(at_new, sampler.lists());
+        sage.rebind(&g);
+        assert_eq!(bound(&sage), at_new);
+
+        // The draw takes nothing from the build RNG: it continues exactly
+        // as after an uncapped build.
+        let mut uncapped_rng = StdRng::seed_from_u64(10);
+        let uncapped = GnnConfig {
+            neighbor_cap: None,
+            ..cfg
+        };
+        HeteroSage::new(&mut Tape::new(), &g, 4, uncapped, &mut uncapped_rng);
+        assert_eq!(rng.next_u64(), uncapped_rng.next_u64());
     }
 
     #[test]

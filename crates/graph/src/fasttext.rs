@@ -22,19 +22,17 @@ fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
 }
 
 /// SplitMix64 step: turns a hash into a stream of pseudo-random u64s.
-fn splitmix64(state: &mut u64) -> u64 {
+fn splitmix64_step(state: &mut u64) -> u64 {
+    let r = grimp_obs::splitmix64(*state);
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    r
 }
 
 /// Accumulate the deterministic vector of one n-gram into `acc`.
 fn add_ngram_vector(acc: &mut [f32], gram: &[u8], seed: u64) {
     let mut state = fnv1a(gram, seed);
     for slot in acc.iter_mut() {
-        let r = splitmix64(&mut state);
+        let r = splitmix64_step(&mut state);
         // map to roughly N(0, 1) via sum of two uniforms − 1 (cheap, smooth)
         let u1 = (r >> 32) as f32 / u32::MAX as f32;
         let u2 = (r & 0xffff_ffff) as f32 / u32::MAX as f32;

@@ -8,8 +8,12 @@
 //! §3.6: "We remove all edges incident in the validation step from the graph
 //! representation before training").
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
+use std::mem::take;
 
+use grimp_obs::splitmix64;
 use grimp_table::{Table, Value};
 
 /// What a graph node represents.
@@ -52,50 +56,6 @@ impl Default for GraphConfig {
     }
 }
 
-/// Why [`TableGraph::append_rows`] refused to apply a delta. Both cases
-/// mean "rebuild from scratch instead"; neither leaves the graph modified.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum GraphAppendError {
-    /// The graph was built with a `max_cells_per_column` frequency cutoff;
-    /// appended rows shift the cutoff, so delta/scratch identity cannot be
-    /// guaranteed.
-    CappedGraph,
-    /// The concatenated table does not extend this graph's table (fewer
-    /// rows, or a different column count).
-    ShapeMismatch {
-        /// Rows the graph was built over.
-        graph_rows: usize,
-        /// Columns the graph was built over.
-        graph_cols: usize,
-        /// Rows of the offered table.
-        table_rows: usize,
-        /// Columns of the offered table.
-        table_cols: usize,
-    },
-}
-
-impl std::fmt::Display for GraphAppendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GraphAppendError::CappedGraph => {
-                write!(f, "cannot append rows to a value-node-capped graph")
-            }
-            GraphAppendError::ShapeMismatch {
-                graph_rows,
-                graph_cols,
-                table_rows,
-                table_cols,
-            } => write!(
-                f,
-                "table {table_rows}x{table_cols} does not extend the \
-                 graph's {graph_rows}x{graph_cols} table"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for GraphAppendError {}
-
 /// One typed edge list: pairs `(rid_node, cell_node)` of one attribute.
 #[derive(Clone, Debug, Default)]
 pub struct TypedEdges {
@@ -133,65 +93,66 @@ pub fn format_rounded(v: f64, decimals: usize) -> String {
 impl TableGraph {
     /// Build the graph from a dirty table, excluding the given cells (in
     /// addition to `∅` cells, which never produce edges).
+    ///
+    /// Node ids are all RIDs first, then column by column every distinct
+    /// value in first-seen order. Every value gets its node even when all
+    /// its occurrences are excluded — imputation candidates must exist as
+    /// nodes so they can be scored. Under a `max_cells_per_column` cap a
+    /// column keeps its most frequent values (ties broken by first
+    /// occurrence), still numbered in first-seen order; capped-out values
+    /// contribute no edge.
     pub fn build(table: &Table, config: GraphConfig, excluded: &[(usize, usize)]) -> Self {
         let n_rows = table.n_rows();
         let n_cols = table.n_columns();
-        let excluded: std::collections::HashSet<(usize, usize)> =
-            excluded.iter().copied().collect();
+        let decimals = config.numeric_decimals;
         let mut labels: Vec<NodeLabel> = (0..n_rows).map(|i| NodeLabel::Rid(i as u32)).collect();
         let mut cell_index: Vec<HashMap<String, u32>> = vec![HashMap::new(); n_cols];
-        let mut edges: Vec<TypedEdges> = vec![TypedEdges::default(); n_cols];
 
-        // First, make sure every value in every attribute domain has a node,
-        // even if all its occurrences are excluded — imputation candidates
-        // must exist as nodes so they can be scored. Under a cell-node cap
-        // only the most frequent values survive (frequency cutoff, ties by
-        // first occurrence); node ids still follow first-seen order, so an
-        // uncapped build is bit-identical to the historical layout.
+        // Key discovery: each column's values in row order, with their
+        // counts for the cap.
         for (col, index) in cell_index.iter_mut().enumerate() {
-            let mut order: Vec<String> = Vec::new();
+            let mut keys: Vec<String> = Vec::new();
             let mut counts: HashMap<String, usize> = HashMap::new();
             for row in 0..n_rows {
-                if let Some(key) = value_key(table, row, col, config.numeric_decimals) {
-                    use std::collections::hash_map::Entry;
-                    match counts.entry(key) {
-                        Entry::Occupied(mut e) => *e.get_mut() += 1,
-                        Entry::Vacant(e) => {
-                            order.push(e.key().clone());
-                            e.insert(1);
-                        }
+                let Some(key) = value_key(table, row, col, decimals) else {
+                    continue;
+                };
+                match counts.entry(key) {
+                    Entry::Occupied(mut e) => *e.get_mut() += 1,
+                    Entry::Vacant(e) => {
+                        keys.push(e.key().clone());
+                        e.insert(1);
                     }
                 }
             }
-            let kept: Vec<usize> = match config.max_cells_per_column {
-                Some(cap) if order.len() > cap => {
-                    let mut ranked: Vec<usize> = (0..order.len()).collect();
-                    ranked.sort_by_key(|&i| (std::cmp::Reverse(counts[order[i].as_str()]), i));
+            if let Some(cap) = config.max_cells_per_column {
+                if keys.len() > cap {
+                    let mut ranked: Vec<usize> = (0..keys.len()).collect();
+                    ranked.sort_by_key(|&i| (Reverse(counts[keys[i].as_str()]), i));
                     ranked.truncate(cap);
                     ranked.sort_unstable();
-                    ranked
+                    keys = ranked.into_iter().map(|i| take(&mut keys[i])).collect();
                 }
-                _ => (0..order.len()).collect(),
-            };
-            for i in kept {
-                let key = order[i].clone();
-                let id = labels.len() as u32;
+            }
+            for key in keys {
+                index.insert(key.clone(), labels.len() as u32);
                 labels.push(NodeLabel::Cell {
                     col: col as u32,
-                    text: key.clone(),
+                    text: key,
                 });
-                index.insert(key, id);
             }
         }
-        // Then add the typed edges for non-excluded cells. Values capped
-        // out of the node set simply contribute no edge.
+
+        // Edges, row-major, so each column's list is in row order.
+        let excluded: HashSet<(usize, usize)> = excluded.iter().copied().collect();
+        let mut edges: Vec<TypedEdges> = vec![TypedEdges::default(); n_cols];
         for row in 0..n_rows {
-            for col in 0..n_cols {
+            for (col, index) in cell_index.iter().enumerate() {
                 if excluded.contains(&(row, col)) {
                     continue;
                 }
-                if let Some(key) = value_key(table, row, col, config.numeric_decimals) {
-                    if let Some(&cell) = cell_index[col].get(&key) {
+                if let Some(key) = value_key(table, row, col, decimals) {
+                    if let Some(&cell) = index.get(&key) {
                         edges[col].pairs.push((row as u32, cell));
                     }
                 }
@@ -224,263 +185,15 @@ impl TableGraph {
         graph
     }
 
-    /// Chunked variant of [`TableGraph::build`]: rows are processed in
-    /// blocks of `chunk_rows`, so the transient per-pass state touched at
-    /// any moment is bounded by the chunk instead of the whole table. The
-    /// output is **bit-identical** to `build` — per-column first-seen order
-    /// only depends on row order, which chunk iteration preserves — so the
-    /// sampled training path can use it without perturbing node ids.
+    /// An alias of [`TableGraph::build`] for existing callers; `chunk_rows`
+    /// is ignored.
     pub fn build_chunked(
         table: &Table,
         config: GraphConfig,
         excluded: &[(usize, usize)],
-        chunk_rows: usize,
+        _chunk_rows: usize,
     ) -> Self {
-        assert!(chunk_rows > 0, "chunk_rows must be positive");
-        let n_rows = table.n_rows();
-        let n_cols = table.n_columns();
-        let excluded: std::collections::HashSet<(usize, usize)> =
-            excluded.iter().copied().collect();
-        let mut labels: Vec<NodeLabel> = (0..n_rows).map(|i| NodeLabel::Rid(i as u32)).collect();
-        let mut cell_index: Vec<HashMap<String, u32>> = vec![HashMap::new(); n_cols];
-        let mut edges: Vec<TypedEdges> = vec![TypedEdges::default(); n_cols];
-
-        // Pass 1 — domain discovery, one chunk of rows at a time. Counts are
-        // order-independent and first-seen order per column follows row
-        // order, exactly as in the monolithic pass.
-        let mut order: Vec<Vec<String>> = vec![Vec::new(); n_cols];
-        let mut counts: Vec<HashMap<String, usize>> = vec![HashMap::new(); n_cols];
-        let mut start = 0;
-        while start < n_rows {
-            let end = (start + chunk_rows).min(n_rows);
-            for row in start..end {
-                for col in 0..n_cols {
-                    if let Some(key) = value_key(table, row, col, config.numeric_decimals) {
-                        use std::collections::hash_map::Entry;
-                        match counts[col].entry(key) {
-                            Entry::Occupied(mut e) => *e.get_mut() += 1,
-                            Entry::Vacant(e) => {
-                                order[col].push(e.key().clone());
-                                e.insert(1);
-                            }
-                        }
-                    }
-                }
-            }
-            start = end;
-        }
-        // Node assignment — same frequency-cutoff and first-seen tie-break
-        // as `build`, column by column so ids interleave identically.
-        for (col, index) in cell_index.iter_mut().enumerate() {
-            let order = &order[col];
-            let counts = &counts[col];
-            let kept: Vec<usize> = match config.max_cells_per_column {
-                Some(cap) if order.len() > cap => {
-                    let mut ranked: Vec<usize> = (0..order.len()).collect();
-                    ranked.sort_by_key(|&i| (std::cmp::Reverse(counts[order[i].as_str()]), i));
-                    ranked.truncate(cap);
-                    ranked.sort_unstable();
-                    ranked
-                }
-                _ => (0..order.len()).collect(),
-            };
-            for i in kept {
-                let key = order[i].clone();
-                let id = labels.len() as u32;
-                labels.push(NodeLabel::Cell {
-                    col: col as u32,
-                    text: key.clone(),
-                });
-                index.insert(key, id);
-            }
-        }
-        // Pass 2 — edges, chunk by chunk, in the same row-major order as
-        // the monolithic edge pass.
-        let mut start = 0;
-        while start < n_rows {
-            let end = (start + chunk_rows).min(n_rows);
-            for row in start..end {
-                for col in 0..n_cols {
-                    if excluded.contains(&(row, col)) {
-                        continue;
-                    }
-                    if let Some(key) = value_key(table, row, col, config.numeric_decimals) {
-                        if let Some(&cell) = cell_index[col].get(&key) {
-                            edges[col].pairs.push((row as u32, cell));
-                        }
-                    }
-                }
-            }
-            start = end;
-        }
-        TableGraph {
-            n_rows,
-            n_cols,
-            labels,
-            cell_index,
-            edges,
-            config,
-        }
-    }
-
-    /// [`TableGraph::build_chunked`] wrapped in a
-    /// [`grimp_obs::names::GRAPH_BUILD`] span, mirroring
-    /// [`TableGraph::build_traced`].
-    pub fn build_chunked_traced(
-        table: &Table,
-        config: GraphConfig,
-        excluded: &[(usize, usize)],
-        chunk_rows: usize,
-        trace: &mut grimp_obs::Trace<'_>,
-    ) -> Self {
-        use grimp_obs::names;
-        let span = trace.enter(names::GRAPH_BUILD, 0);
-        let graph = Self::build_chunked(table, config, excluded, chunk_rows);
-        trace.counter(names::GRAPH_NODES, 0, graph.n_nodes() as u64);
-        trace.counter(names::GRAPH_EDGES, 0, graph.n_edges() as u64);
-        trace.exit(names::GRAPH_BUILD, 0, span);
-        graph
-    }
-
-    /// Append the trailing rows of `concat` (everything past this graph's
-    /// current row count) as a graph delta: new RID nodes, value-node
-    /// dictionary growth for first-seen values, and CSR segment append of
-    /// the new rows' edges — without rescanning the base rows.
-    ///
-    /// `concat` must be the base table this graph was built from with the
-    /// new rows pushed after it (same columns, same leading rows). The
-    /// result is **bit-identical** to a from-scratch [`TableGraph::build`]
-    /// of `concat`: a from-scratch build numbers all `n + k` RIDs first and
-    /// then every column's cells in first-seen order, so the delta renumbers
-    /// the existing cell nodes (RID ids are unchanged) — old cell node `v`
-    /// of column `c` shifts by `k + Σ_{c' < c} new_count[c']` — and slots
-    /// each column's newly seen values behind its old ones. Edge lists keep
-    /// their per-column row-major order with remapped cell ids, then the
-    /// appended rows' edges follow.
-    ///
-    /// `excluded` lists `(row, col)` cells (in `concat` coordinates) that
-    /// must not contribute edges; entries for base rows are ignored (the
-    /// base build already handled its own exclusions).
-    ///
-    /// # Errors
-    /// [`GraphAppendError::CappedGraph`] when the graph was built with a
-    /// `max_cells_per_column` cap — appended rows change the frequency
-    /// cutoff, so a capped graph cannot guarantee delta/scratch identity
-    /// and the caller must rebuild instead.
-    /// [`GraphAppendError::ShapeMismatch`] when `concat` has fewer rows or
-    /// a different column count than the graph.
-    pub fn append_rows(
-        &mut self,
-        concat: &Table,
-        excluded: &[(usize, usize)],
-    ) -> Result<(), GraphAppendError> {
-        if self.config.max_cells_per_column.is_some() {
-            return Err(GraphAppendError::CappedGraph);
-        }
-        if concat.n_rows() < self.n_rows || concat.n_columns() != self.n_cols {
-            return Err(GraphAppendError::ShapeMismatch {
-                graph_rows: self.n_rows,
-                graph_cols: self.n_cols,
-                table_rows: concat.n_rows(),
-                table_cols: concat.n_columns(),
-            });
-        }
-        let base_rows = self.n_rows;
-        let k = concat.n_rows() - base_rows;
-        if k == 0 {
-            return Ok(());
-        }
-        let excluded: std::collections::HashSet<(usize, usize)> = excluded
-            .iter()
-            .copied()
-            .filter(|&(row, _)| row >= base_rows)
-            .collect();
-
-        // Discover each column's newly seen values in appended-row scan
-        // order — the order a from-scratch build would first see them in.
-        let mut new_keys: Vec<Vec<String>> = vec![Vec::new(); self.n_cols];
-        for row in base_rows..concat.n_rows() {
-            for (col, keys) in new_keys.iter_mut().enumerate() {
-                if let Some(key) = value_key(concat, row, col, self.config.numeric_decimals) {
-                    if !self.cell_index[col].contains_key(&key) && !keys.contains(&key) {
-                        keys.push(key);
-                    }
-                }
-            }
-        }
-
-        // Per-column shift of the existing cell ids: the k new RIDs push
-        // every cell node back, and each earlier column's new values push
-        // later columns back further.
-        let mut shifts: Vec<u32> = Vec::with_capacity(self.n_cols);
-        let mut acc = k as u32;
-        for keys in &new_keys {
-            shifts.push(acc);
-            acc += keys.len() as u32;
-        }
-
-        // Rebuild the label vector in from-scratch order: all RIDs, then
-        // per column its old cells followed by its new ones.
-        let old_labels = std::mem::take(&mut self.labels);
-        let total = old_labels.len() + k + new_keys.iter().map(Vec::len).sum::<usize>();
-        self.labels = Vec::with_capacity(total);
-        self.labels
-            .extend((0..concat.n_rows()).map(|i| NodeLabel::Rid(i as u32)));
-        let mut old_cells = old_labels.into_iter().skip(base_rows);
-        for (col, keys) in new_keys.iter().enumerate() {
-            for _ in 0..self.cell_index[col].len() {
-                self.labels
-                    .push(old_cells.next().expect("old cell label present"));
-            }
-            for key in keys {
-                self.labels.push(NodeLabel::Cell {
-                    col: col as u32,
-                    text: key.clone(),
-                });
-            }
-        }
-
-        // Remap the value index and the existing edges (RID ids are
-        // unchanged; only cell ids shift), then register the new values.
-        let mut next_new_id: Vec<u32> = Vec::with_capacity(self.n_cols);
-        {
-            let mut base = concat.n_rows() as u32;
-            for (col, keys) in new_keys.iter().enumerate() {
-                base += self.cell_index[col].len() as u32;
-                next_new_id.push(base);
-                base += keys.len() as u32;
-            }
-        }
-        for (col, index) in self.cell_index.iter_mut().enumerate() {
-            for id in index.values_mut() {
-                *id += shifts[col];
-            }
-            for (j, key) in new_keys[col].iter().enumerate() {
-                index.insert(key.clone(), next_new_id[col] + j as u32);
-            }
-        }
-        for (col, e) in self.edges.iter_mut().enumerate() {
-            for (_, cell) in e.pairs.iter_mut() {
-                *cell += shifts[col];
-            }
-        }
-
-        // CSR segment append: the new rows' edges, in the same row-major
-        // order the from-scratch edge pass would emit them.
-        for row in base_rows..concat.n_rows() {
-            for col in 0..self.n_cols {
-                if excluded.contains(&(row, col)) {
-                    continue;
-                }
-                if let Some(key) = value_key(concat, row, col, self.config.numeric_decimals) {
-                    if let Some(&cell) = self.cell_index[col].get(&key) {
-                        self.edges[col].pairs.push((row as u32, cell));
-                    }
-                }
-            }
-        }
-        self.n_rows = concat.n_rows();
-        Ok(())
+        Self::build(table, config, excluded)
     }
 
     /// Total node count (RID + cell nodes).
@@ -549,35 +262,22 @@ impl TableGraph {
 
     /// Symmetric per-type neighbor lists over all nodes: entry `t` maps every
     /// node to its neighbors through edges of type `t` (RID → cells of
-    /// column `t`; cell of column `t` → RIDs). The GNN turns these into CSR
-    /// adjacencies.
+    /// column `t`; cell of column `t` → RIDs) — the unpacked form of
+    /// [`TableGraph::csr_adjacency`].
     pub fn neighbor_lists(&self) -> Vec<Vec<Vec<u32>>> {
-        let n = self.n_nodes();
-        let mut per_type: Vec<Vec<Vec<u32>>> = Vec::with_capacity(self.n_cols);
-        for t in 0..self.n_cols {
-            let mut lists = vec![Vec::new(); n];
-            for &(rid, cell) in &self.edges[t].pairs {
-                lists[rid as usize].push(cell);
-                lists[cell as usize].push(rid);
-            }
-            per_type.push(lists);
-        }
-        per_type
-    }
-
-    /// Degree of a node summed over all edge types.
-    pub fn total_degree(&self, node: u32) -> usize {
-        self.edges
+        self.csr_adjacency()
             .iter()
-            .flat_map(|e| e.pairs.iter())
-            .filter(|&&(r, c)| r == node || c == node)
-            .count()
+            .map(|csr| {
+                (0..csr.n_nodes())
+                    .map(|v| csr.neighbors_of(v).to_vec())
+                    .collect()
+            })
+            .collect()
     }
 
-    /// Per-type CSR adjacencies over all nodes — the packed form of
-    /// [`TableGraph::neighbor_lists`] (same symmetric edges, same
-    /// deterministic per-node neighbor order). The neighbor sampler reads
-    /// these instead of the nested lists so each epoch's resampling is a
+    /// Per-type CSR adjacencies over all nodes, symmetric, each node's
+    /// neighbors in edge-list order. The neighbor sampler reads these
+    /// instead of nested lists so each epoch's resampling is a
     /// cache-friendly linear scan.
     pub fn csr_adjacency(&self) -> Vec<TypeCsr> {
         let n = self.n_nodes();
@@ -638,17 +338,6 @@ impl TypeCsr {
     pub fn into_raw(self) -> (Vec<u32>, Vec<u32>) {
         (self.offsets, self.neighbors)
     }
-}
-
-/// SplitMix64 — the statelessly seedable mixer the sampler derives its
-/// per-(epoch, type, node) streams from. Deliberately independent of the
-/// training RNG so enabling sampling cannot shift the main draw order.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Deterministic per-epoch neighbor sampler over [`TypeCsr`] edge sets.
@@ -932,146 +621,31 @@ mod tests {
         assert_eq!(g.cell_node_of(&t, 2, 0), None);
     }
 
-    fn assert_graphs_identical(a: &TableGraph, b: &TableGraph) {
-        assert_eq!(a.n_nodes(), b.n_nodes());
-        for n in 0..a.n_nodes() {
-            assert_eq!(a.label(n), b.label(n), "node {n}");
-        }
-        assert_eq!(a.n_edge_types(), b.n_edge_types());
-        for c in 0..a.n_edge_types() {
-            assert_eq!(a.edges_of(c).pairs, b.edges_of(c).pairs, "column {c}");
-        }
+    /// Per-type neighbor lists built straight from the edge lists, apart
+    /// from the CSR path: each edge `(rid, cell)` puts `cell` on `rid`'s
+    /// list and `rid` on `cell`'s, in edge-list order.
+    fn reference_lists(g: &TableGraph) -> Vec<Vec<Vec<u32>>> {
+        (0..g.n_edge_types())
+            .map(|t| {
+                let mut lists = vec![Vec::new(); g.n_nodes()];
+                for &(rid, cell) in &g.edges_of(t).pairs {
+                    lists[rid as usize].push(cell);
+                    lists[cell as usize].push(rid);
+                }
+                lists
+            })
+            .collect()
     }
 
     #[test]
-    fn chunked_build_is_bit_identical_to_monolithic() {
-        let t = skewed_table();
-        let mono = TableGraph::build(&t, GraphConfig::default(), &[]);
-        for chunk in [1, 2, 5, 12, 100] {
-            let chunked = TableGraph::build_chunked(&t, GraphConfig::default(), &[], chunk);
-            assert_graphs_identical(&mono, &chunked);
-        }
-    }
-
-    #[test]
-    fn chunked_build_matches_under_cap_and_exclusions() {
-        let t = skewed_table();
-        let cfg = GraphConfig {
-            max_cells_per_column: Some(2),
-            ..GraphConfig::default()
-        };
-        let excluded = [(0, 0), (3, 1), (7, 0)];
-        let mono = TableGraph::build(&t, cfg, &excluded);
-        let chunked = TableGraph::build_chunked(&t, cfg, &excluded, 3);
-        assert_graphs_identical(&mono, &chunked);
-    }
-
-    /// Push `rows` onto a clone of `base` and return the concatenation.
-    fn concat(base: &Table, rows: &[Vec<Option<&str>>]) -> Table {
-        let mut t = base.clone();
-        for row in rows {
-            t.push_str_row(row);
-        }
-        t
-    }
-
-    #[test]
-    fn append_rows_matches_from_scratch_build() {
-        let base = table();
-        let cat = concat(
-            &base,
-            &[
-                vec![Some("IT"), Some("2015")], // new country, old year
-                vec![Some("FR"), None],         // old country, null
-                vec![Some("IT"), Some("1999")], // both new in their columns
-            ],
-        );
-        let mut delta = TableGraph::build(&base, GraphConfig::default(), &[]);
-        delta.append_rows(&cat, &[]).unwrap();
-        let scratch = TableGraph::build(&cat, GraphConfig::default(), &[]);
-        assert_graphs_identical(&scratch, &delta);
-        assert_eq!(delta.n_rids(), 6);
-        assert_eq!(delta.cell_node(0, "IT"), scratch.cell_node(0, "IT"));
-    }
-
-    #[test]
-    fn append_rows_respects_appended_row_exclusions() {
-        let base = table();
-        let cat = concat(&base, &[vec![Some("IT"), Some("2015")]]);
-        // Excluding a base cell is a no-op (already handled at base build);
-        // excluding an appended cell drops its edge but keeps the node.
-        let excluded = [(0, 0), (3, 0)];
-        let mut delta = TableGraph::build(&base, GraphConfig::default(), &[]);
-        delta.append_rows(&cat, &excluded).unwrap();
-        let scratch = TableGraph::build(&cat, GraphConfig::default(), &[(3, 0)]);
-        assert_graphs_identical(&scratch, &delta);
-        assert!(delta.cell_node(0, "IT").is_some());
-        assert!(!delta.edges_of(0).pairs.iter().any(|&(r, _)| r == 3));
-    }
-
-    #[test]
-    fn append_rows_of_zero_rows_is_a_no_op() {
-        let base = table();
-        let mut delta = TableGraph::build(&base, GraphConfig::default(), &[]);
-        delta.append_rows(&base, &[]).unwrap();
-        let scratch = TableGraph::build(&base, GraphConfig::default(), &[]);
-        assert_graphs_identical(&scratch, &delta);
-    }
-
-    #[test]
-    fn append_rows_rejects_capped_and_mismatched_graphs() {
-        let base = table();
-        let cat = concat(&base, &[vec![Some("IT"), Some("2015")]]);
-        let cfg = GraphConfig {
-            max_cells_per_column: Some(2),
-            ..GraphConfig::default()
-        };
-        let mut capped = TableGraph::build(&base, cfg, &[]);
-        assert_eq!(
-            capped.append_rows(&cat, &[]),
-            Err(GraphAppendError::CappedGraph)
-        );
-        let mut g = TableGraph::build(&cat, GraphConfig::default(), &[]);
-        assert!(matches!(
-            g.append_rows(&base, &[]),
-            Err(GraphAppendError::ShapeMismatch { .. })
-        ));
-        // A rejected append leaves the graph untouched.
-        let scratch = TableGraph::build(&cat, GraphConfig::default(), &[]);
-        assert_graphs_identical(&scratch, &g);
-    }
-
-    #[test]
-    fn chained_appends_match_one_from_scratch_build() {
-        let base = skewed_table();
-        let step1 = {
-            let mut t = base.clone();
-            t.push_str_row(&[Some("e"), Some("k0")]);
-            t.push_str_row(&[Some("a"), Some("k2")]);
-            t
-        };
-        let step2 = {
-            let mut t = step1.clone();
-            t.push_str_row(&[None, Some("k2")]);
-            t.push_str_row(&[Some("f"), None]);
-            t
-        };
-        let mut delta = TableGraph::build(&base, GraphConfig::default(), &[]);
-        delta.append_rows(&step1, &[]).unwrap();
-        delta.append_rows(&step2, &[]).unwrap();
-        let scratch = TableGraph::build(&step2, GraphConfig::default(), &[]);
-        assert_graphs_identical(&scratch, &delta);
-    }
-
-    #[test]
-    fn csr_adjacency_matches_neighbor_lists() {
+    fn csr_adjacency_and_neighbor_lists_follow_the_edge_lists() {
         let g = TableGraph::build(&skewed_table(), GraphConfig::default(), &[]);
-        let lists = g.neighbor_lists();
+        let reference = reference_lists(&g);
         let csr = g.csr_adjacency();
-        assert_eq!(lists.len(), csr.len());
+        assert_eq!(reference.len(), csr.len());
         for (t, type_csr) in csr.iter().enumerate() {
             assert_eq!(type_csr.n_nodes(), g.n_nodes());
-            for (v, list) in lists[t].iter().enumerate() {
+            for (v, list) in reference[t].iter().enumerate() {
                 assert_eq!(
                     type_csr.neighbors_of(v),
                     list.as_slice(),
@@ -1080,6 +654,7 @@ mod tests {
                 assert_eq!(type_csr.degree(v), list.len());
             }
         }
+        assert_eq!(g.neighbor_lists(), reference);
     }
 
     #[test]
@@ -1136,7 +711,7 @@ mod tests {
     #[test]
     fn sampler_keeps_small_neighborhoods_whole() {
         let g = TableGraph::build(&table(), GraphConfig::default(), &[]);
-        let full = g.neighbor_lists();
+        let full = reference_lists(&g);
         // fanout larger than any degree: the sample is the full graph
         let mut s = NeighborSampler::new(&g, 0, 64);
         let total = s.sample_epoch(0);

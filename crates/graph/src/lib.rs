@@ -27,6 +27,6 @@ pub use features::{
     build_features, build_features_traced, fasttext_features, FeatureSource, NodeFeatures,
 };
 pub use hetero::{
-    format_rounded, value_key, GraphAppendError, GraphConfig, NeighborSampler, NodeLabel,
-    TableGraph, TypeCsr, TypedEdges,
+    format_rounded, value_key, GraphConfig, NeighborSampler, NodeLabel, TableGraph, TypeCsr,
+    TypedEdges,
 };

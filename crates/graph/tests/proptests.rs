@@ -90,58 +90,6 @@ proptest! {
     }
 
     #[test]
-    fn delta_built_graph_is_bit_identical_to_from_scratch(
-        base in arb_table(),
-        delta in arb_table(),
-        sel in proptest::collection::vec((0usize..60, 0usize..3), 0..8),
-    ) {
-        // Concatenate: the delta table's rows are pushed onto the base.
-        let mut cat = base.clone();
-        for i in 0..delta.n_rows() {
-            let row: Vec<Option<String>> = (0..delta.n_columns())
-                .map(|j| (!delta.is_missing(i, j)).then(|| delta.display(i, j)))
-                .collect();
-            let row: Vec<Option<&str>> = row.iter().map(|v| v.as_deref()).collect();
-            cat.push_str_row(&row);
-        }
-        let excluded: Vec<(usize, usize)> = sel
-            .into_iter()
-            .filter(|&(i, j)| i < cat.n_rows() && j < cat.n_columns())
-            .collect();
-        let base_excluded: Vec<(usize, usize)> = excluded
-            .iter()
-            .copied()
-            .filter(|&(i, _)| i < base.n_rows())
-            .collect();
-
-        let mut grown = TableGraph::build(&base, GraphConfig::default(), &base_excluded);
-        grown.append_rows(&cat, &excluded).unwrap();
-        let scratch = TableGraph::build(&cat, GraphConfig::default(), &excluded);
-
-        prop_assert_eq!(scratch.n_nodes(), grown.n_nodes());
-        for n in 0..scratch.n_nodes() {
-            prop_assert_eq!(scratch.label(n), grown.label(n), "node {}", n);
-        }
-        for c in 0..scratch.n_edge_types() {
-            prop_assert_eq!(
-                &scratch.edges_of(c).pairs,
-                &grown.edges_of(c).pairs,
-                "column {}",
-                c
-            );
-            let a: Vec<(String, u32)> = scratch
-                .column_cells(c)
-                .map(|(k, v)| (k.to_string(), v))
-                .collect();
-            let b: Vec<(String, u32)> = grown
-                .column_cells(c)
-                .map(|(k, v)| (k.to_string(), v))
-                .collect();
-            prop_assert_eq!(a, b, "cell index of column {}", c);
-        }
-    }
-
-    #[test]
     fn fasttext_is_deterministic_and_normalized(word in "[a-z0-9]{1,12}", dim in 4usize..64, seed in 0u64..50) {
         let ft = FastTextLike::new(dim, seed);
         let a = ft.embed(&word);

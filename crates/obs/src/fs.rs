@@ -31,6 +31,8 @@ use std::path::Path;
 use std::rc::Rc;
 use std::time::Duration;
 
+use crate::splitmix64;
+
 /// Filesystem operations the pipeline needs for durable output. Mutating
 /// operations are fallible and fault-injectable; `read` is passthrough.
 pub trait GrimpFs {
@@ -408,15 +410,6 @@ pub fn is_transient(e: &io::Error) -> bool {
 
 /// Default attempt count for [`with_retry`].
 pub const IO_RETRY_ATTEMPTS: usize = 3;
-
-/// SplitMix64: the retry jitter's deterministic bit mixer (the same
-/// construction the serve watcher uses for its reload-poll jitter).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// The deterministic extra wait added to retry number `attempt` when the
 /// base backoff is `delay_ms`: a pure function of `(seed, attempt)` in

@@ -78,7 +78,7 @@ use std::time::{Duration, Instant};
 
 use grimp::checkpoint::{crc32, TrainCheckpoint, CHECKPOINT_FILE};
 use grimp::{estimate_footprint, FittedModel, GrimpError, Pipeline, ShutdownFlag};
-use grimp_obs::{crashpoint, names, Event, EventSink, RealFs, Trace};
+use grimp_obs::{crashpoint, names, splitmix64, Event, EventSink, RealFs, Trace};
 use grimp_table::csv::{read_csv_str, to_csv_bytes};
 use grimp_table::{ColumnKind, Table};
 
@@ -588,14 +588,6 @@ fn absorb_remaining(socket: &TcpStream, timeout: Duration) {
             }
         }
     }
-}
-
-/// SplitMix64: the jitter's deterministic bit mixer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The deterministic extra wait added to poll number `polls`: a pure

@@ -15,6 +15,10 @@ cargo fmt --all -- --check
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+echo "==> cargo check --locked --manifest-path perfbench/Cargo.toml (the benchmark still"
+echo "    builds against the graph and gnn APIs it calls)"
+cargo check --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
