@@ -11,11 +11,10 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use grimp::GlobalDomain;
 use grimp_graph::{train_embdi, EmbdiConfig, GraphConfig, TableGraph};
 use grimp_table::{ColumnKind, Corpus, Imputer, Normalizer, Table, Value};
 use grimp_tensor::{Adam, Mlp, Tape, Tensor};
-
-use crate::domain::ValueDomain;
 
 /// EMBDI-MC options.
 #[derive(Clone, Copy, Debug)]
@@ -63,18 +62,17 @@ impl EmbdiMc {
     fn context_vec(
         graph: &TableGraph,
         emb: &grimp_graph::EmbdiEmbeddings,
-        table: &Table,
         row: usize,
         target_col: usize,
         out: &mut [f32],
     ) {
         out.iter_mut().for_each(|v| *v = 0.0);
         let mut n = 0usize;
-        for c in 0..table.n_columns() {
+        for c in 0..graph.n_edge_types() {
             if c == target_col {
                 continue;
             }
-            if let Some(node) = graph.cell_node_of(table, row, c) {
+            if let Some(node) = graph.node_of(row, c) {
                 for (o, &e) in out.iter_mut().zip(emb.node(node as usize)) {
                     *o += e;
                 }
@@ -102,7 +100,7 @@ impl Imputer for EmbdiMc {
         normalizer.apply(&mut norm);
 
         let graph = TableGraph::build(&norm, cfg.graph, &[]);
-        let domain = ValueDomain::build(&graph);
+        let domain = GlobalDomain::build(&graph);
         if domain.n_classes() == 0 {
             return dirty.clone();
         }
@@ -117,15 +115,12 @@ impl Imputer for EmbdiMc {
         let mut buf = vec![0.0f32; dim];
         for bucket in &corpus.train {
             for s in bucket {
-                let key =
-                    grimp_graph::value_key(&norm, s.row, s.target_col, cfg.graph.numeric_decimals)
-                        .expect("labels are non-null");
-                let Some(class) = domain.class_of(s.target_col, &key) else {
+                let Some(node) = graph.node_of(s.row, s.target_col) else {
                     continue;
                 };
-                Self::context_vec(&graph, &emb, &norm, s.row, s.target_col, &mut buf);
+                Self::context_vec(&graph, &emb, s.row, s.target_col, &mut buf);
                 xs.extend_from_slice(&buf);
-                labels.push(class);
+                labels.push(domain.class_of_node(node));
             }
         }
         if labels.is_empty() {
@@ -153,7 +148,7 @@ impl Imputer for EmbdiMc {
         if !missing.is_empty() {
             let mut xs: Vec<f32> = Vec::with_capacity(missing.len() * dim);
             for &(i, j) in &missing {
-                Self::context_vec(&graph, &emb, &norm, i, j, &mut buf);
+                Self::context_vec(&graph, &emb, i, j, &mut buf);
                 xs.extend_from_slice(&buf);
             }
             let x = tape.input(Tensor::from_vec(missing.len(), dim, xs));

@@ -1,5 +1,5 @@
 //! GAIN-style adversarial imputation (Yoon, Jordon & van der Schaar, ICML
-//! 2018 — the paper's GAN representative [54]), in the least-squares-GAN
+//! 2018 — the paper's GAN representative \[54\]), in the least-squares-GAN
 //! formulation so the adversarial losses are expressible as masked MSE.
 //!
 //! Rows are encoded like MIDA's (z-scored numericals + capped one-hot

@@ -13,8 +13,8 @@
 //! | TURL | masked-cell token predictor | [`TurlSub`] |
 //! | EMBDI-MC | EMBDI embeddings + single classifier | [`EmbdiMc`] |
 //! | — | classical references | [`MeanMode`], [`KnnImputer`], [`Mice`] |
-//! | MIDA [23] | denoising autoencoder | [`Mida`] |
-//! | GAIN [54] | adversarial (LSGAN) imputer | [`Gain`] |
+//! | MIDA \[23\] | denoising autoencoder | [`Mida`] |
+//! | GAIN \[54\] | adversarial (LSGAN) imputer | [`Gain`] |
 //!
 //! The GNN-MC ablation arm lives in `grimp-core` (it shares GRIMP's shared
 //! layer). TURL and AimNet are documented substitutions — see DESIGN.md §3.
@@ -23,7 +23,6 @@
 
 pub mod aimnet;
 pub mod datawig;
-pub mod domain;
 pub mod embdi_mc;
 pub mod encoding;
 pub mod fd_repair;
@@ -38,7 +37,6 @@ pub mod turl;
 
 pub use aimnet::{AimNetConfig, AimNetLike};
 pub use datawig::{DataWigConfig, DataWigLike};
-pub use domain::ValueDomain;
 pub use embdi_mc::{EmbdiMc, EmbdiMcConfig};
 pub use encoding::{mean_mode_fill, FeatCol, FeatureMatrix};
 pub use fd_repair::FdRepair;

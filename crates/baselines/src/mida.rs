@@ -1,5 +1,5 @@
 //! MIDA-style denoising-autoencoder imputation (Gondara & Wang, PAKDD
-//! 2018 — cited as the paper's autoencoder representative [23]).
+//! 2018 — cited as the paper's autoencoder representative \[23\]).
 //!
 //! Rows are encoded as dense vectors (z-scored numericals + frequency-
 //! capped one-hot categoricals). An overcomplete autoencoder is trained to

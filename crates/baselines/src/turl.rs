@@ -17,11 +17,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use grimp::vectors::VectorBatch;
+use grimp::GlobalDomain;
 use grimp_graph::{GraphConfig, TableGraph};
 use grimp_table::{ColumnKind, Corpus, Imputer, Normalizer, Table, Value};
 use grimp_tensor::{init, Adam, Dense, Mlp, Tape, Var};
-
-use crate::domain::ValueDomain;
 
 /// TURL-sub options.
 #[derive(Clone, Copy, Debug)]
@@ -98,7 +97,7 @@ impl Imputer for TurlSub {
         normalizer.apply(&mut norm);
 
         let graph = TableGraph::build(&norm, cfg.graph, &[]);
-        let domain = ValueDomain::build(&graph);
+        let domain = GlobalDomain::build(&graph);
         if domain.n_classes() == 0 {
             return dirty.clone();
         }
@@ -120,19 +119,16 @@ impl Imputer for TurlSub {
         let mut labels = Vec::new();
         for bucket in &corpus.train {
             for s in bucket {
-                let key =
-                    grimp_graph::value_key(&norm, s.row, s.target_col, cfg.graph.numeric_decimals)
-                        .expect("labels non-null");
-                if let Some(class) = domain.class_of(s.target_col, &key) {
+                if let Some(node) = graph.node_of(s.row, s.target_col) {
                     positions.push((s.row, s.target_col));
-                    labels.push(class);
+                    labels.push(domain.class_of_node(node));
                 }
             }
         }
         if labels.is_empty() {
             return crate::encoding::mean_mode_fill(dirty);
         }
-        let batch = VectorBatch::build(&graph, &norm, &positions, cfg.dim);
+        let batch = VectorBatch::build(&graph, &positions, cfg.dim);
         let labels = Arc::new(labels);
         for _ in 0..cfg.epochs {
             let logits = Self::forward(&mut tape, emb, &query, &classifier, &batch);
@@ -146,7 +142,7 @@ impl Imputer for TurlSub {
         let mut result = dirty.clone();
         let missing = norm.missing_cells();
         if !missing.is_empty() {
-            let batch = VectorBatch::build(&graph, &norm, &missing, cfg.dim);
+            let batch = VectorBatch::build(&graph, &missing, cfg.dim);
             let logits = Self::forward(&mut tape, emb, &query, &classifier, &batch);
             let out = tape.value(logits).clone();
             for (s, &(i, j)) in missing.iter().enumerate() {

@@ -8,7 +8,10 @@
 //! layer and the merge computed per epoch (a trace counter), and asserts
 //! it stays within the cell-node count plus the 3 rows that align the
 //! range's start — a deterministic gate that those stages do not grow with
-//! the row count. Wall time is reported, not gated beyond a 4× collapse.
+//! the row count. It records `graph_keys`, the value texts the graph build
+//! made (a trace counter), and asserts it is at most the table's distinct
+//! values — a gate that the build formats per value, not per cell. Wall
+//! time is reported, not gated beyond a 4× collapse.
 //!
 //! The probe also proves the governor's third downscale rung end-to-end: the
 //! 250k-row table is fitted under a memory budget the full-graph path cannot
@@ -91,6 +94,10 @@ struct SizeResult {
     cell_nodes: usize,
     /// Largest per-epoch `gnn_rows` counter of the fit.
     gnn_rows: usize,
+    /// The graph build's `graph_keys` counter.
+    graph_keys: usize,
+    /// Distinct dictionary codes plus distinct numerical bit patterns.
+    distinct_values: usize,
 }
 
 fn mb(bytes: u64) -> f64 {
@@ -107,6 +114,9 @@ fn run_size(rows: usize) -> SizeResult {
     });
     let sampled_footprint = estimate_footprint(&dirty, &cfg).total_bytes();
     let missing = dirty.n_missing();
+    let distinct_values = (0..dirty.n_columns())
+        .map(|j| dirty.column(j).n_distinct())
+        .sum();
 
     let start = Instant::now();
     let mut model = Grimp::new(cfg);
@@ -133,6 +143,9 @@ fn run_size(rows: usize) -> SizeResult {
     let gnn_rows = counters(names::GNN_ROWS)
         .max()
         .expect("every epoch reports its GNN rows");
+    let graph_keys = counters(names::GRAPH_KEYS)
+        .next()
+        .expect("the fit reports its graph keys");
 
     SizeResult {
         rows,
@@ -145,6 +158,8 @@ fn run_size(rows: usize) -> SizeResult {
         missing_filled: missing,
         cell_nodes: graph_nodes - rows,
         gnn_rows,
+        graph_keys,
+        distinct_values,
     }
 }
 
@@ -282,7 +297,7 @@ fn main() {
         println!(
             "{:>7} rows: {:.2}s ({:.0} rows/sec), footprint sampled {:.1} MB vs \
              full {:.1} MB, {} missing filled, allocs after epoch 1: {}, \
-             GNN rows {} for {} cell nodes",
+             GNN rows {} for {} cell nodes, {} graph keys for {} distinct values",
             r.rows,
             r.seconds,
             r.rows_per_sec,
@@ -291,7 +306,9 @@ fn main() {
             r.missing_filled,
             r.allocs_after_epoch1,
             r.gnn_rows,
-            r.cell_nodes
+            r.cell_nodes,
+            r.graph_keys,
+            r.distinct_values
         );
         results.push(r);
     }
@@ -312,6 +329,15 @@ fn main() {
             r.rows,
             r.gnn_rows,
             r.cell_nodes
+        );
+        // The graph build makes one value text per distinct value, never
+        // one per cell.
+        assert!(
+            r.graph_keys <= r.distinct_values,
+            "{} rows: the graph build made {} keys for {} distinct values",
+            r.rows,
+            r.graph_keys,
+            r.distinct_values
         );
     }
     // Throughput must not collapse with size: sampled training keeps the
@@ -372,7 +398,8 @@ fn main() {
             "    {{\"rows\": {}, \"seconds\": {:.3}, \"rows_per_sec\": {:.1}, \
              \"epochs_run\": {}, \"sampled_footprint_mb\": {:.1}, \
              \"full_footprint_mb\": {:.1}, \"missing_filled\": {}, \
-             \"allocs_after_epoch1\": {}, \"cell_nodes\": {}, \"gnn_rows\": {}}}{}",
+             \"allocs_after_epoch1\": {}, \"cell_nodes\": {}, \"gnn_rows\": {}, \
+             \"graph_keys\": {}, \"distinct_values\": {}}}{}",
             r.rows,
             r.seconds,
             r.rows_per_sec,
@@ -383,6 +410,8 @@ fn main() {
             r.allocs_after_epoch1,
             r.cell_nodes,
             r.gnn_rows,
+            r.graph_keys,
+            r.distinct_values,
             if i + 1 < results.len() { "," } else { "" }
         );
     }

@@ -30,7 +30,7 @@
 //! A tensor is `u64` rows, `u64` cols, then row-major `f32` bits. Decoding
 //! never panics: wrong magic, unknown versions, truncation, bit flips (the
 //! CRC-32 footer), and corrupt length prefixes all surface as a typed
-//! [`CheckpointError`](grimp_tensor::CheckpointError).
+//! [`CheckpointError`].
 //!
 //! [`TrainCheckpoint::save`] keeps the last *two* checkpoints: the previous
 //! good file survives as `grimp.ckpt.prev`, so a torn or bit-flipped write

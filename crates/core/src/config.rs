@@ -438,12 +438,31 @@ impl GrimpConfig {
     }
 
     /// Check the configuration for values that would make training panic,
-    /// loop forever, or silently do nothing. [`crate::Pipeline::new`] and
-    /// [`GrimpConfigBuilder::build`] run this for you. Sub-config checks
-    /// live on the sub-configs themselves ([`SamplerConfig::validate`],
-    /// [`ResourceLimits::validate`], [`CheckpointPolicy::validate`]); this
-    /// method runs them all plus the cross-section checks.
+    /// loop forever, or silently do nothing, and for combinations a user
+    /// should not set. [`crate::Pipeline::new`] and
+    /// [`GrimpConfigBuilder::build`] run this for you. It is
+    /// [`GrimpConfig::validate_fit`] plus the cross-section policy checks.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        self.validate_fit()?;
+        // Cross-section: a sampled run draws different batches and a
+        // different validation layout than a full-batch run, so resuming a
+        // full-batch checkpoint under sampling would silently diverge.
+        // Reject the combination up front. The fit entry points skip this
+        // check: the engine resumes sampled runs of its own.
+        if self.sampler.is_some() && self.resume {
+            return Err(ConfigError::SamplerWithResume);
+        }
+        Ok(())
+    }
+
+    /// The range checks every fit needs: values that would make training
+    /// panic, loop forever, or silently do nothing. Sub-config checks live
+    /// on the sub-configs themselves ([`SamplerConfig::validate`],
+    /// [`ResourceLimits::validate`], [`CheckpointPolicy::validate`]); this
+    /// method runs them all. Every fit entry point runs it
+    /// ([`crate::Grimp::fit_impute`], [`crate::GnnMc::fit_impute`],
+    /// [`crate::FederatedGrimp::fit_impute`] panic on a failure).
+    pub fn validate_fit(&self) -> Result<(), ConfigError> {
         self.checkpointing().validate()?;
         for (name, dim) in [
             ("feature_dim", self.feature_dim),
@@ -489,13 +508,6 @@ impl GrimpConfig {
         }
         if let Some(sampler) = self.sampler {
             sampler.validate()?;
-            // Cross-section: a sampled run draws different batches and a
-            // different validation layout than a full-batch run, so
-            // resuming a full-batch checkpoint under sampling would
-            // silently diverge. Reject the combination up front.
-            if self.resume {
-                return Err(ConfigError::SamplerWithResume);
-            }
         }
         Ok(())
     }

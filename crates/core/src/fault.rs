@@ -6,7 +6,7 @@
 //! finiteness after the optimizer step — and surfaces each violation as a
 //! [`TrainAnomaly`] instead of letting NaNs silently poison every task head.
 //!
-//! [`FaultPlan`] is the test harness for that machinery: it corrupts a chosen
+//! `FaultPlan` is the test harness for that machinery: it corrupts a chosen
 //! gradient or parameter at a chosen epoch so tests can prove the whole
 //! detect → rollback → retry → converge pipeline end-to-end. It is
 //! compiled only for this crate's unit tests and behind the

@@ -102,6 +102,11 @@ impl FederatedGrimp {
     }
 
     /// Split, train federated, impute shards, reassemble.
+    ///
+    /// # Panics
+    /// With the [`crate::ConfigError`]'s message when the parties' training
+    /// configuration — the base configuration with in-memory, full-batch,
+    /// round-governed training — fails [`GrimpConfig::validate_fit`].
     pub fn fit_impute(&mut self, dirty: &Table) -> Table {
         let cfg = &self.config;
         let start = Instant::now();
@@ -117,6 +122,9 @@ impl FederatedGrimp {
             resume: false,
             ..cfg.base.clone()
         };
+        if let Err(e) = party_cfg.validate_fit() {
+            panic!("{e}");
+        }
 
         // Round-robin shard split.
         let mut parties: Vec<Party> = Vec::with_capacity(cfg.parties);

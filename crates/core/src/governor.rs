@@ -53,7 +53,8 @@ impl ShutdownFlag {
 /// allocated to compute it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FootprintEstimate {
-    /// Graph structure: node labels, cell index, typed edge lists.
+    /// Graph structure: node labels, the per-cell node index, typed edge
+    /// lists.
     pub graph_bytes: u64,
     /// Node feature matrix plus its persistent training copy.
     pub feature_bytes: u64,
@@ -80,10 +81,12 @@ const F32: u64 = 4;
 const PARAM_COPIES: u64 = 8;
 /// Copies of every activation scalar: value, gradient, workspace slack.
 const ACT_COPIES: u64 = 3;
-/// Rough per-node bookkeeping (label enum, cell-index entry, adjacency).
+/// Rough per-node bookkeeping (label enum and text, adjacency).
 const NODE_OVERHEAD: u64 = 96;
 /// Rough per-edge bookkeeping (typed pair + CSR adjacency both ways).
 const EDGE_OVERHEAD: u64 = 24;
+/// Per table cell: the graph's cell → node index entry (a `u32`).
+const CELL_INDEX_BYTES: u64 = 4;
 
 /// Estimate the graph + tape footprint of fitting `cfg` on `table`,
 /// honouring `cfg.graph.max_cells_per_column` so the downscale ladder can
@@ -130,7 +133,9 @@ pub fn estimate_footprint(table: &Table, cfg: &GrimpConfig) -> FootprintEstimate
     }
     let n_nodes = n_rows + n_cells;
 
-    let graph_bytes = n_nodes * NODE_OVERHEAD + n_edges * EDGE_OVERHEAD;
+    let graph_bytes = n_nodes * NODE_OVERHEAD
+        + n_edges * EDGE_OVERHEAD
+        + n_rows * n_cols as u64 * CELL_INDEX_BYTES;
     // Feature tensor + the persistent per-epoch training copy.
     let feature_bytes = n_nodes * cfg.feature_dim as u64 * F32 * 2;
 

@@ -20,7 +20,7 @@
 //! 3. **Train** — the fine-tune is a *resumed* fit of the concatenated
 //!    table with `max_epochs = wal.epoch + finetune.epochs` and only the
 //!    appended rows contributing training samples
-//!    ([`crate::model::fit_model_delta`]); the refit is a resumed plain
+//!    (`model::fit_model_delta`); the refit is a resumed plain
 //!    fit. Both paths reuse the checkpointed training loop, so a kill at
 //!    any epoch resumes bit-identically, and replaying an already-applied
 //!    segment finds the epoch target already reached and trains nothing.

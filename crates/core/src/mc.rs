@@ -28,35 +28,48 @@ use crate::fault::TrainAnomaly;
 use crate::report::TrainReport;
 use crate::vectors::VectorBatch;
 
-/// Global label space: one class per (attribute, value-key) pair.
+/// Global label space: one class per (attribute, value-key) pair, i.e. per
+/// cell node of the graph it was built from. Within each column, classes
+/// follow the sorted key text. The GNN-MC ablation and the token-predicting
+/// baselines (EMBDI-MC, TURL-sub) share it.
 pub struct GlobalDomain {
-    /// Per column: its value keys in a fixed order.
+    /// Per column: its value keys in class order.
     keys: Vec<Vec<String>>,
     /// Per column: starting offset into the global class space.
     offsets: Vec<usize>,
     /// Total number of classes.
     total: usize,
+    /// Node id of the graph's first cell node (= its RID count).
+    first_cell: usize,
+    /// The class of every cell node, indexed by node id minus `first_cell`.
+    node_class: Vec<u32>,
 }
 
 impl GlobalDomain {
     /// Build the global domain from a graph's cell nodes.
     pub fn build(graph: &TableGraph) -> Self {
         let n_cols = graph.n_edge_types();
+        let first_cell = graph.n_rids();
         let mut keys: Vec<Vec<String>> = Vec::with_capacity(n_cols);
         let mut offsets = Vec::with_capacity(n_cols);
+        let mut node_class = vec![0u32; graph.n_nodes() - first_cell];
         let mut total = 0usize;
         for j in 0..n_cols {
-            let mut col_keys: Vec<String> =
-                graph.column_cells(j).map(|(k, _)| k.to_string()).collect();
-            col_keys.sort_unstable();
+            let mut cells: Vec<(&str, u32)> = graph.column_cells(j).collect();
+            cells.sort_unstable();
+            for (rank, &(_, node)) in cells.iter().enumerate() {
+                node_class[node as usize - first_cell] = (total + rank) as u32;
+            }
             offsets.push(total);
-            total += col_keys.len();
-            keys.push(col_keys);
+            total += cells.len();
+            keys.push(cells.into_iter().map(|(k, _)| k.to_string()).collect());
         }
         GlobalDomain {
             keys,
             offsets,
             total,
+            first_cell,
+            node_class,
         }
     }
 
@@ -65,12 +78,10 @@ impl GlobalDomain {
         self.total
     }
 
-    /// Global class index of `(column, key)`.
-    pub fn class_of(&self, col: usize, key: &str) -> Option<u32> {
-        self.keys[col]
-            .binary_search_by(|k| k.as_str().cmp(key))
-            .ok()
-            .map(|i| (self.offsets[col] + i) as u32)
+    /// Global class of a cell node of the graph the domain was built from
+    /// (as [`TableGraph::node_of`] returns it).
+    pub fn class_of_node(&self, node: u32) -> u32 {
+        self.node_class[node as usize - self.first_cell]
     }
 
     /// The `(start, end)` slice of global classes belonging to `column`.
@@ -106,6 +117,11 @@ impl GnnMc {
     }
 
     /// Train self-supervised and impute all missing values.
+    ///
+    /// # Panics
+    /// With the [`crate::ConfigError`]'s message when the configuration
+    /// fails [`GrimpConfig::validate_fit`] (checkpointing aside, which the
+    /// ablation turns off).
     pub fn fit_impute(&mut self, dirty: &Table) -> Table {
         let start = Instant::now();
         // The ablation trains in memory: no checkpoint directory to lock,
@@ -115,6 +131,9 @@ impl GnnMc {
             resume: false,
             ..self.config.clone()
         };
+        if let Err(e) = cfg.validate_fit() {
+            panic!("{e}");
+        }
         let mut trace = Trace::disabled();
         let (enc, mut tape, (domain, classifier)) = build_encoder(
             &cfg,
@@ -156,16 +175,10 @@ impl GnnMc {
             let mut labels = Vec::new();
             for bucket in buckets {
                 for s in bucket {
-                    let key = grimp_graph::value_key(
-                        &norm,
-                        s.row,
-                        s.target_col,
-                        cfg.graph.numeric_decimals,
-                    )
-                    .expect("training sample labels are non-null");
-                    if let Some(class) = domain.class_of(s.target_col, &key) {
+                    // Capped-out values have no node, hence no class.
+                    if let Some(node) = graph.node_of(s.row, s.target_col) {
                         positions.push((s.row, s.target_col));
-                        labels.push(class);
+                        labels.push(domain.class_of_node(node));
                     }
                 }
             }
@@ -185,9 +198,9 @@ impl GnnMc {
             classifier: &classifier,
             x,
             rows: readout_rows(&graph),
-            train: VectorBatch::build_readout(&graph, &norm, &train_pos, cfg.embed_dim),
+            train: VectorBatch::build_readout(&graph, &train_pos, cfg.embed_dim),
             train_labels: Arc::new(train_labels),
-            val: VectorBatch::build_readout(&graph, &norm, &val_pos, cfg.embed_dim),
+            val: VectorBatch::build_readout(&graph, &val_pos, cfg.embed_dim),
             val_labels: Arc::new(val_labels),
         };
         let trainable = !objective.train.is_empty() && domain.n_classes() > 0;
@@ -214,7 +227,7 @@ impl GnnMc {
         if !missing.is_empty() && domain.n_classes() > 0 {
             let h0 = gnn.forward_rows(&mut tape, x, readout_rows(&graph));
             let h = merge.forward(&mut tape, h0);
-            let batch = VectorBatch::build_readout(&graph, &norm, &missing, cfg.embed_dim);
+            let batch = VectorBatch::build_readout(&graph, &missing, cfg.embed_dim);
             let out = mc_forward(&mut tape, &classifier, h, &batch);
             let out_t = tape.value(out);
             for (s, &(i, j)) in missing.iter().enumerate() {
@@ -353,10 +366,15 @@ mod tests {
         assert_eq!(d.n_classes(), 6);
         let (lo, hi) = d.column_range(1);
         assert_eq!(hi - lo, 3);
-        let class = d.class_of(1, "b2").unwrap() as usize;
+        let class = d.class_of_node(g.cell_node(1, "b2").unwrap()) as usize;
         assert!((lo..hi).contains(&class));
         assert_eq!(d.key_of(1, class), "b2");
-        assert_eq!(d.class_of(0, "b2"), None, "keys are column-scoped");
+        // classes follow the sorted text within each column
+        for j in 0..2 {
+            for (text, node) in g.column_cells(j) {
+                assert_eq!(d.key_of(j, d.class_of_node(node) as usize), text);
+            }
+        }
     }
 
     #[test]

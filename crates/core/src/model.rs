@@ -120,14 +120,14 @@ impl Grimp {
     /// The report's [`TrainReport::seconds`] covers the fit and the impute.
     ///
     /// # Panics
-    /// If `gnn.neighbor_cap` is `Some(0)`, which [`crate::Pipeline::new`]
-    /// rejects as [`crate::ConfigError::ZeroNeighborCap`]. This entry point
-    /// does not run [`GrimpConfig::validate`] otherwise: it also trains
-    /// configurations that only the engine itself may set, such as a
-    /// sampled run that resumes.
+    /// With the [`crate::ConfigError`]'s message when the configuration
+    /// fails [`GrimpConfig::validate_fit`]. The policy checks of
+    /// [`GrimpConfig::validate`] do not apply here: this entry point also
+    /// trains configurations that only the engine itself may set, such as
+    /// a sampled run that resumes.
     pub fn fit_impute_traced(&mut self, dirty: &Table, sink: &mut dyn EventSink) -> Table {
-        if self.config.gnn.neighbor_cap == Some(0) {
-            panic!("{}", crate::ConfigError::ZeroNeighborCap);
+        if let Err(e) = self.config.validate_fit() {
+            panic!("{e}");
         }
         let fitted = match fit_model(&self.config, &self.fds, dirty, sink) {
             Ok(f) => f,
@@ -199,7 +199,7 @@ pub struct FittedModel {
 struct Embedded {
     tape: Tape,
     h: Var,
-    unseen: Option<(Table, TableGraph)>,
+    unseen: Option<TableGraph>,
 }
 
 impl FittedModel {
@@ -290,15 +290,11 @@ impl FittedModel {
         let Some(mut embedded) = self.embed(table, seen, &mut Trace::disabled()) else {
             return Err(GrimpError::InductiveUnsupported);
         };
-        let (norm, graph) = match &embedded.unseen {
-            Some((norm, graph)) => (norm, graph),
-            None => (&self.norm, &self.graph),
-        };
-        let n_cols = norm.n_columns();
+        let n_cols = table.n_columns();
         let mut profiles = Vec::with_capacity(n_cols);
         for (j, task) in self.tasks.iter().enumerate() {
-            let samples: Vec<(usize, usize)> = (0..norm.n_rows())
-                .filter(|&i| !norm.is_missing(i, j))
+            let samples: Vec<(usize, usize)> = (0..table.n_rows())
+                .filter(|&i| !table.is_missing(i, j))
                 .take(max_samples)
                 .map(|i| (i, j))
                 .collect();
@@ -306,7 +302,8 @@ impl FittedModel {
                 profiles.push(None);
                 continue;
             }
-            let batch = VectorBatch::build_readout(graph, norm, &samples, self.config.embed_dim);
+            let graph = embedded.unseen.as_ref().unwrap_or(&self.graph);
+            let batch = VectorBatch::build_readout(graph, &samples, self.config.embed_dim);
             let tape = &mut embedded.tape;
             let profile = task.attention_alpha(tape, embedded.h, &batch).map(|alpha| {
                 let a = tape.value(alpha);
@@ -362,7 +359,7 @@ impl FittedModel {
                 self.config.feature_dim,
                 features.node_matrix,
             );
-            (x, Some(gnn), Some((norm, graph)))
+            (x, Some(gnn), Some(graph))
         };
         // A backend per call: a parallel backend's pool runs one job at a
         // time, so concurrent calls must not share one.
@@ -372,7 +369,7 @@ impl FittedModel {
             tape.input(p.clone());
         }
         let x = tape.input(features);
-        let graph = unseen.as_ref().map_or(&self.graph, |(_, graph)| graph);
+        let graph = unseen.as_ref().unwrap_or(&self.graph);
         let rows = readout_rows(graph);
         trace.counter(names::GNN_ROWS, 0, rows.len() as u64);
         let h0 = rebound
@@ -407,12 +404,8 @@ impl FittedModel {
             }
             match (self.report.column_tiers[j], embedded.as_mut()) {
                 (ColumnTier::Gnn, Some(embedded)) => {
-                    let (norm, graph) = match &embedded.unseen {
-                        Some((norm, graph)) => (norm, graph),
-                        None => (&self.norm, &self.graph),
-                    };
-                    let batch =
-                        VectorBatch::build_readout(graph, norm, &missing, self.config.embed_dim);
+                    let graph = embedded.unseen.as_ref().unwrap_or(&self.graph);
+                    let batch = VectorBatch::build_readout(graph, &missing, self.config.embed_dim);
                     let out = task.forward(&mut embedded.tape, embedded.h, &batch);
                     let out_t = embedded.tape.value(out);
                     match table.schema().column(j).kind {
@@ -864,7 +857,6 @@ impl Objective for TaskNet {
                 j as u64,
                 st.batch_rows,
                 &self.enc.graph,
-                &self.enc.norm,
                 &mut st.scratch,
                 tb,
             );
@@ -1147,7 +1139,6 @@ impl TaskPool {
         task: u64,
         k: usize,
         graph: &TableGraph,
-        table: &Table,
         scratch: &mut Vec<(usize, usize)>,
         tb: &mut TaskBatch,
     ) {
@@ -1165,7 +1156,7 @@ impl TaskPool {
         }
         scratch.clear();
         scratch.extend(self.perm[..k].iter().map(|&i| self.positions[i as usize]));
-        tb.batch.refill(graph, table, scratch);
+        tb.batch.refill(graph, scratch);
         match (&mut tb.labels, &self.labels) {
             (Labels::Cat(dst), Labels::Cat(src)) => {
                 let dst = Arc::get_mut(dst)
@@ -1267,7 +1258,7 @@ fn task_batch(
     }
     let positions: Vec<(usize, usize)> = samples.iter().map(|s| (s.row, s.target_col)).collect();
     Some(TaskBatch {
-        batch: VectorBatch::build_readout(graph, table, &positions, dim),
+        batch: VectorBatch::build_readout(graph, &positions, dim),
         labels: labels_of(table, j, samples),
     })
 }
@@ -1370,6 +1361,19 @@ mod tests {
         inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(1));
         let mut config = tiny_config(TaskKind::Attention);
         config.gnn.neighbor_cap = Some(0);
+        Grimp::new(config).fit_impute(&dirty);
+    }
+
+    #[test]
+    #[should_panic(expected = "--fanout must be at least 1")]
+    fn fit_impute_rejects_a_zero_fanout_before_training() {
+        let mut dirty = functional_table(40);
+        inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(1));
+        let mut config = tiny_config(TaskKind::Attention);
+        config.sampler = Some(crate::config::SamplerConfig {
+            batch_rows: 16,
+            fanout: 0,
+        });
         Grimp::new(config).fit_impute(&dirty);
     }
 

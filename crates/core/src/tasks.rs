@@ -211,7 +211,7 @@ mod tests {
         assert_eq!(k.get(2, 2), 0.4); // unrelated
     }
 
-    fn tiny_setup() -> (Table, TableGraph) {
+    fn tiny_setup() -> TableGraph {
         let schema = Schema::from_pairs(&[
             ("a", ColumnKind::Categorical),
             ("b", ColumnKind::Categorical),
@@ -220,13 +220,12 @@ mod tests {
             schema,
             &[vec![Some("x"), Some("p")], vec![Some("y"), Some("q")]],
         );
-        let g = TableGraph::build(&t, GraphConfig::default(), &[]);
-        (t, g)
+        TableGraph::build(&t, GraphConfig::default(), &[])
     }
 
     #[test]
     fn both_task_kinds_produce_logits_of_domain_size() {
-        let (t, g) = tiny_setup();
+        let g = tiny_setup();
         let dim = 8;
         for kind in [TaskKind::Linear, TaskKind::Attention] {
             let mut rng = StdRng::seed_from_u64(0);
@@ -246,7 +245,7 @@ mod tests {
             );
             tape.freeze();
             let h = tape.input(Tensor::full(g.n_nodes(), dim, 0.3));
-            let batch = VectorBatch::build(&g, &t, &[(0, 0), (1, 0)], dim);
+            let batch = VectorBatch::build(&g, &[(0, 0), (1, 0)], dim);
             let logits = task.forward(&mut tape, h, &batch);
             assert_eq!(tape.value(logits).shape(), (2, 2));
             assert!(tape.value(logits).all_finite());
@@ -257,7 +256,7 @@ mod tests {
     fn attention_task_trains_to_separate_classes() {
         // Column a is perfectly determined by column b: the attention task
         // for a must learn the mapping from b's cell embeddings.
-        let (t, g) = tiny_setup();
+        let g = tiny_setup();
         let dim = 8;
         let mut rng = StdRng::seed_from_u64(1);
         let mut tape = Tape::new();
@@ -281,7 +280,7 @@ mod tests {
         );
         tape.freeze();
         let mut adam = grimp_tensor::Adam::new(0.05);
-        let batch = VectorBatch::build(&g, &t, &[(0, 0), (1, 0)], dim);
+        let batch = VectorBatch::build(&g, &[(0, 0), (1, 0)], dim);
         let labels = Arc::new(vec![0u32, 1]);
         let mut last = f32::INFINITY;
         for _ in 0..200 {

@@ -11,7 +11,6 @@ use std::sync::Arc;
 
 use grimp_gnn::readout_rows;
 use grimp_graph::TableGraph;
-use grimp_table::Table;
 use grimp_tensor::Tensor;
 
 /// Score bias used to exclude masked slots from attention.
@@ -42,41 +41,29 @@ pub struct VectorBatch {
 }
 
 impl VectorBatch {
-    /// Build the batch for `samples`, each a `(row, target_col)` pair, over
-    /// embeddings of every node. The slot of `target_col` is always masked;
-    /// other slots are masked when the cell is `∅` (or its value has no
-    /// node, which cannot happen for values of the same table the graph was
-    /// built from).
-    pub fn build(
-        graph: &TableGraph,
-        table: &Table,
-        samples: &[(usize, usize)],
-        dim: usize,
-    ) -> Self {
-        Self::build_from(graph, table, samples, dim, 0)
+    /// Build the batch for `samples`, each a `(row, target_col)` pair of
+    /// the table `graph` was built from, over embeddings of every node. The
+    /// slot of `target_col` is always masked; other slots are masked when
+    /// the cell has no node ([`TableGraph::node_of`]: `∅` or capped out).
+    pub fn build(graph: &TableGraph, samples: &[(usize, usize)], dim: usize) -> Self {
+        Self::build_from(graph, samples, dim, 0)
     }
 
     /// [`VectorBatch::build`] over the embeddings of the GNN's readout rows
     /// ([`readout_rows`]) — the rows [`grimp_gnn::HeteroSage::forward_rows`]
     /// computes.
-    pub fn build_readout(
-        graph: &TableGraph,
-        table: &Table,
-        samples: &[(usize, usize)],
-        dim: usize,
-    ) -> Self {
-        Self::build_from(graph, table, samples, dim, readout_rows(graph).start)
+    pub fn build_readout(graph: &TableGraph, samples: &[(usize, usize)], dim: usize) -> Self {
+        Self::build_from(graph, samples, dim, readout_rows(graph).start)
     }
 
     fn build_from(
         graph: &TableGraph,
-        table: &Table,
         samples: &[(usize, usize)],
         dim: usize,
         first_row: usize,
     ) -> Self {
         let n = samples.len();
-        let n_cols = table.n_columns();
+        let n_cols = graph.n_edge_types();
         let mut batch = VectorBatch {
             n,
             n_cols,
@@ -86,7 +73,7 @@ impl VectorBatch {
             mask: Tensor::zeros(n * n_cols, dim),
             score_bias: Tensor::zeros(n, n_cols),
         };
-        batch.refill(graph, table, samples);
+        batch.refill(graph, samples);
         batch
     }
 
@@ -103,7 +90,7 @@ impl VectorBatch {
     /// requires that every tape-held clone of the previous epoch's `idx`
     /// has been dropped (`tape.reset()` does that). Panics if the batch is
     /// still aliased or `samples.len() != n`.
-    pub fn refill(&mut self, graph: &TableGraph, table: &Table, samples: &[(usize, usize)]) {
+    pub fn refill(&mut self, graph: &TableGraph, samples: &[(usize, usize)]) {
         assert_eq!(
             samples.len(),
             self.n,
@@ -118,7 +105,7 @@ impl VectorBatch {
                 let node = if c == target_col {
                     None
                 } else {
-                    graph.cell_node_of(table, row, c)
+                    graph.node_of(row, c)
                 };
                 match node {
                     Some(node) => {
@@ -141,9 +128,9 @@ impl VectorBatch {
 mod tests {
     use super::*;
     use grimp_graph::GraphConfig;
-    use grimp_table::{ColumnKind, Schema};
+    use grimp_table::{ColumnKind, Schema, Table};
 
-    fn setup() -> (Table, TableGraph) {
+    fn setup() -> TableGraph {
         let schema = Schema::from_pairs(&[
             ("a", ColumnKind::Categorical),
             ("b", ColumnKind::Categorical),
@@ -156,14 +143,13 @@ mod tests {
                 vec![Some("y"), None, Some("m")],
             ],
         );
-        let g = TableGraph::build(&t, GraphConfig::default(), &[]);
-        (t, g)
+        TableGraph::build(&t, GraphConfig::default(), &[])
     }
 
     #[test]
     fn target_column_is_always_masked() {
-        let (t, g) = setup();
-        let b = VectorBatch::build(&g, &t, &[(0, 1)], 4);
+        let g = setup();
+        let b = VectorBatch::build(&g, &[(0, 1)], 4);
         assert_eq!(b.n, 1);
         // slot of column 1 masked, others live
         assert_eq!(b.mask.row_slice(0), &[1.0; 4]);
@@ -175,9 +161,9 @@ mod tests {
 
     #[test]
     fn null_cells_are_masked_too() {
-        let (t, g) = setup();
+        let g = setup();
         // row 1 has ∅ in column 1; target column 0
-        let b = VectorBatch::build(&g, &t, &[(1, 0)], 4);
+        let b = VectorBatch::build(&g, &[(1, 0)], 4);
         assert_eq!(b.mask.row_slice(0), &[0.0; 4]); // target
         assert_eq!(b.mask.row_slice(1), &[0.0; 4]); // null
         assert_eq!(b.mask.row_slice(2), &[1.0; 4]); // live
@@ -185,8 +171,8 @@ mod tests {
 
     #[test]
     fn live_slots_point_at_the_right_nodes() {
-        let (t, g) = setup();
-        let b = VectorBatch::build(&g, &t, &[(0, 0)], 4);
+        let g = setup();
+        let b = VectorBatch::build(&g, &[(0, 0)], 4);
         let p_node = g.cell_node(1, "p").unwrap();
         let m_node = g.cell_node(2, "m").unwrap();
         assert_eq!(b.idx[1], p_node);
@@ -195,10 +181,10 @@ mod tests {
 
     #[test]
     fn readout_batches_index_from_the_readout_start() {
-        let (t, g) = setup();
+        let g = setup();
         let first = readout_rows(&g).start;
-        let full = VectorBatch::build(&g, &t, &[(0, 1), (1, 0)], 4);
-        let mut b = VectorBatch::build_readout(&g, &t, &[(0, 1), (1, 0)], 4);
+        let full = VectorBatch::build(&g, &[(0, 1), (1, 0)], 4);
+        let mut b = VectorBatch::build_readout(&g, &[(0, 1), (1, 0)], 4);
         assert_eq!(b.first_row as usize, first);
         for (slot, (&local, &node)) in b.idx.iter().zip(full.idx.iter()).enumerate() {
             if full.mask.row_slice(slot)[0] == 1.0 {
@@ -209,23 +195,23 @@ mod tests {
         }
         assert_eq!(b.mask.as_slice(), full.mask.as_slice());
         // a refill keeps the batch on its embedding rows
-        b.refill(&g, &t, &[(1, 2), (0, 0)]);
-        let fresh = VectorBatch::build_readout(&g, &t, &[(1, 2), (0, 0)], 4);
+        b.refill(&g, &[(1, 2), (0, 0)]);
+        let fresh = VectorBatch::build_readout(&g, &[(1, 2), (0, 0)], 4);
         assert_eq!(*b.idx, *fresh.idx);
     }
 
     #[test]
     fn refill_matches_a_fresh_build_bit_for_bit() {
-        let (t, g) = setup();
-        let mut b = VectorBatch::build(&g, &t, &[(0, 1), (1, 0)], 4);
-        b.refill(&g, &t, &[(1, 2), (0, 0)]);
-        let fresh = VectorBatch::build(&g, &t, &[(1, 2), (0, 0)], 4);
+        let g = setup();
+        let mut b = VectorBatch::build(&g, &[(0, 1), (1, 0)], 4);
+        b.refill(&g, &[(1, 2), (0, 0)]);
+        let fresh = VectorBatch::build(&g, &[(1, 2), (0, 0)], 4);
         assert_eq!(*b.idx, *fresh.idx);
         assert_eq!(b.mask.as_slice(), fresh.mask.as_slice());
         assert_eq!(b.score_bias.as_slice(), fresh.score_bias.as_slice());
         // and back again: stale mask/bias state must not leak across refills
-        b.refill(&g, &t, &[(0, 1), (1, 0)]);
-        let original = VectorBatch::build(&g, &t, &[(0, 1), (1, 0)], 4);
+        b.refill(&g, &[(0, 1), (1, 0)]);
+        let original = VectorBatch::build(&g, &[(0, 1), (1, 0)], 4);
         assert_eq!(*b.idx, *original.idx);
         assert_eq!(b.mask.as_slice(), original.mask.as_slice());
         assert_eq!(b.score_bias.as_slice(), original.score_bias.as_slice());
@@ -234,17 +220,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "fixed")]
     fn refill_rejects_a_different_batch_size() {
-        let (t, g) = setup();
-        let mut b = VectorBatch::build(&g, &t, &[(0, 1)], 4);
-        b.refill(&g, &t, &[(0, 1), (1, 0)]);
+        let g = setup();
+        let mut b = VectorBatch::build(&g, &[(0, 1)], 4);
+        b.refill(&g, &[(0, 1), (1, 0)]);
     }
 
     #[test]
     fn same_vector_for_different_targets_differs_only_in_mask() {
         // the Fig. 5 scenario: one row, two different target columns
-        let (t, g) = setup();
-        let b0 = VectorBatch::build(&g, &t, &[(0, 0)], 4);
-        let b1 = VectorBatch::build(&g, &t, &[(0, 1)], 4);
+        let g = setup();
+        let b0 = VectorBatch::build(&g, &[(0, 0)], 4);
+        let b1 = VectorBatch::build(&g, &[(0, 1)], 4);
         // slot 2 (column c) identical in both
         assert_eq!(b0.idx[2], b1.idx[2]);
         assert_eq!(b0.mask.row_slice(2), b1.mask.row_slice(2));

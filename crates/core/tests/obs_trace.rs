@@ -308,3 +308,41 @@ fn gnn_rows_counts_the_cell_nodes_at_every_table_size() {
         "rows computed grew with the table"
     );
 }
+
+/// The graph build makes one value text per distinct dictionary code and
+/// numerical bit pattern, never one per cell: `graph_keys` stays within the
+/// table's distinct values and does not grow with its rows (both tables
+/// hold the same 12 values).
+#[test]
+fn graph_keys_stay_within_the_distinct_values() {
+    let mut per_size = Vec::new();
+    for rows in [203, 2003] {
+        let dirty = dirty_table(rows, 3);
+        let cfg = GrimpConfig {
+            max_epochs: 1,
+            ..quick_config()
+        };
+        let mut sink = MemorySink::new();
+        Pipeline::new(cfg)
+            .expect("validated")
+            .fit_traced(&dirty, &mut sink)
+            .expect("table has columns");
+        let keys: Vec<f64> = sink
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::Counter && e.name == names::GRAPH_KEYS)
+            .map(|e| e.value)
+            .collect();
+        assert_eq!(keys.len(), 1, "{rows} rows: one graph build");
+        let distinct: usize = (0..dirty.n_columns())
+            .map(|j| dirty.column(j).n_distinct())
+            .sum();
+        assert!(
+            keys[0] as usize <= distinct,
+            "{rows} rows: {} keys for {distinct} distinct values",
+            keys[0]
+        );
+        per_size.push(keys[0]);
+    }
+    assert_eq!(per_size[0], per_size[1], "keys made grew with the table");
+}

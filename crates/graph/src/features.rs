@@ -229,7 +229,7 @@ mod tests {
         let f = fasttext_features(&g, 16, 42);
         // RID 2 is connected only to the "1.0000" cell of column x, so its
         // vector equals that cell's (both unit-normalized).
-        let cell = g.cell_node_of(&t, 2, 1).unwrap() as usize;
+        let cell = g.node_of(2, 1).unwrap() as usize;
         for d in 0..16 {
             assert!((f.node(2)[d] - f.node(cell)[d]).abs() < 1e-5);
         }

@@ -10,11 +10,10 @@
 
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
-use std::mem::take;
+use std::collections::HashMap;
 
 use grimp_obs::splitmix64;
-use grimp_table::{Table, Value};
+use grimp_table::{Column, Table, Value};
 
 /// What a graph node represents.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -63,14 +62,20 @@ pub struct TypedEdges {
     pub pairs: Vec<(u32, u32)>,
 }
 
+/// Entry of the per-cell node index for a cell without a node: `∅`, or a
+/// value the `max_cells_per_column` cutoff dropped.
+const NO_NODE: u32 = u32::MAX;
+
 /// The heterogeneous table graph.
 #[derive(Clone, Debug)]
 pub struct TableGraph {
     n_rows: usize,
     n_cols: usize,
     labels: Vec<NodeLabel>,
-    /// Per column: canonical value text → cell node id.
-    cell_index: Vec<HashMap<String, u32>>,
+    /// The cell nodes of column `j` are `col_start[j]..col_start[j + 1]`.
+    col_start: Vec<u32>,
+    /// Per column: every row's cell node id, [`NO_NODE`] when it has none.
+    cell_nodes: Vec<Vec<u32>>,
     /// Per column: the typed edge list.
     edges: Vec<TypedEdges>,
     config: GraphConfig,
@@ -90,9 +95,90 @@ pub fn format_rounded(v: f64, decimals: usize) -> String {
     format!("{v:.decimals$}")
 }
 
+/// One column's distinct value texts in first-seen order, with their
+/// occurrence counts.
+#[derive(Default)]
+struct ColumnKeys {
+    texts: Vec<String>,
+    counts: Vec<usize>,
+    by_text: HashMap<String, u32>,
+}
+
+impl ColumnKeys {
+    /// The key index of `text`, registered on first sight.
+    fn intern(&mut self, text: String) -> u32 {
+        match self.by_text.entry(text) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let k = self.texts.len() as u32;
+                self.texts.push(e.key().clone());
+                self.counts.push(0);
+                *e.insert(k)
+            }
+        }
+    }
+
+    /// Discover `column`'s keys, writing each row's key index into `slots`
+    /// ([`NO_NODE`] for `∅`). A key's text is made once per distinct
+    /// dictionary code or `f64` bit pattern, so values that print alike —
+    /// `-0.00001` and `-0.0` at 4 decimals, every NaN payload — share one
+    /// key. Returns the keys and the number of texts made.
+    fn discover(column: &Column, decimals: usize, slots: &mut [u32]) -> (Self, u64) {
+        let mut keys = ColumnKeys::default();
+        let mut made = 0u64;
+        match column {
+            Column::Categorical { dict, codes } => {
+                let mut key_of_code = vec![NO_NODE; dict.len()];
+                for (slot, code) in slots.iter_mut().zip(codes) {
+                    let Some(code) = *code else { continue };
+                    let mut k = key_of_code[code as usize];
+                    if k == NO_NODE {
+                        made += 1;
+                        k = keys.intern(dict[code as usize].clone());
+                        key_of_code[code as usize] = k;
+                    }
+                    keys.counts[k as usize] += 1;
+                    *slot = k;
+                }
+            }
+            Column::Numerical { values } => {
+                let mut key_of_bits: HashMap<u64, u32> = HashMap::new();
+                for (slot, value) in slots.iter_mut().zip(values) {
+                    let Some(v) = *value else { continue };
+                    let k = match key_of_bits.entry(v.to_bits()) {
+                        Entry::Occupied(e) => *e.get(),
+                        Entry::Vacant(e) => {
+                            made += 1;
+                            *e.insert(keys.intern(format_rounded(v, decimals)))
+                        }
+                    };
+                    keys.counts[k as usize] += 1;
+                    *slot = k;
+                }
+            }
+        }
+        (keys, made)
+    }
+
+    /// The key indices that keep a node under `cap`, in first-seen order:
+    /// the most frequent keys, ties broken by first occurrence.
+    fn kept(&self, cap: Option<usize>) -> Vec<usize> {
+        let mut ranked: Vec<usize> = (0..self.texts.len()).collect();
+        if let Some(cap) = cap {
+            if ranked.len() > cap {
+                ranked.sort_by_key(|&k| (Reverse(self.counts[k]), k));
+                ranked.truncate(cap);
+                ranked.sort_unstable();
+            }
+        }
+        ranked
+    }
+}
+
 impl TableGraph {
     /// Build the graph from a dirty table, excluding the given cells (in
-    /// addition to `∅` cells, which never produce edges).
+    /// addition to `∅` cells, which never produce edges). Exclusions that
+    /// repeat or fall outside the table are ignored.
     ///
     /// Node ids are all RIDs first, then column by column every distinct
     /// value in first-seen order. Every value gets its node even when all
@@ -102,74 +188,87 @@ impl TableGraph {
     /// occurrence), still numbered in first-seen order; capped-out values
     /// contribute no edge.
     pub fn build(table: &Table, config: GraphConfig, excluded: &[(usize, usize)]) -> Self {
+        Self::build_counted(table, config, excluded).0
+    }
+
+    /// [`TableGraph::build`], also returning the number of value texts the
+    /// build made: one per distinct dictionary code and distinct numerical
+    /// bit pattern.
+    fn build_counted(
+        table: &Table,
+        config: GraphConfig,
+        excluded: &[(usize, usize)],
+    ) -> (Self, u64) {
         let n_rows = table.n_rows();
         let n_cols = table.n_columns();
-        let decimals = config.numeric_decimals;
         let mut labels: Vec<NodeLabel> = (0..n_rows).map(|i| NodeLabel::Rid(i as u32)).collect();
-        let mut cell_index: Vec<HashMap<String, u32>> = vec![HashMap::new(); n_cols];
+        let mut col_start = Vec::with_capacity(n_cols + 1);
+        let mut cell_nodes = Vec::with_capacity(n_cols);
+        let mut keys_made = 0u64;
 
-        // Key discovery: each column's values in row order, with their
-        // counts for the cap.
-        for (col, index) in cell_index.iter_mut().enumerate() {
-            let mut keys: Vec<String> = Vec::new();
-            let mut counts: HashMap<String, usize> = HashMap::new();
-            for row in 0..n_rows {
-                let Some(key) = value_key(table, row, col, decimals) else {
-                    continue;
-                };
-                match counts.entry(key) {
-                    Entry::Occupied(mut e) => *e.get_mut() += 1,
-                    Entry::Vacant(e) => {
-                        keys.push(e.key().clone());
-                        e.insert(1);
-                    }
-                }
-            }
-            if let Some(cap) = config.max_cells_per_column {
-                if keys.len() > cap {
-                    let mut ranked: Vec<usize> = (0..keys.len()).collect();
-                    ranked.sort_by_key(|&i| (Reverse(counts[keys[i].as_str()]), i));
-                    ranked.truncate(cap);
-                    ranked.sort_unstable();
-                    keys = ranked.into_iter().map(|i| take(&mut keys[i])).collect();
-                }
-            }
-            for key in keys {
-                index.insert(key.clone(), labels.len() as u32);
+        // Key discovery, then numbering: each column's row → key index
+        // array is rewritten in place into its row → cell node array.
+        for col in 0..n_cols {
+            let mut nodes = vec![NO_NODE; n_rows];
+            let (mut keys, made) =
+                ColumnKeys::discover(table.column(col), config.numeric_decimals, &mut nodes);
+            keys_made += made;
+            col_start.push(labels.len() as u32);
+            let mut node_of_key = vec![NO_NODE; keys.texts.len()];
+            for k in keys.kept(config.max_cells_per_column) {
+                node_of_key[k] = labels.len() as u32;
                 labels.push(NodeLabel::Cell {
                     col: col as u32,
-                    text: key,
+                    text: std::mem::take(&mut keys.texts[k]),
                 });
             }
+            assert!(labels.len() < NO_NODE as usize, "node ids fit u32");
+            for node in nodes.iter_mut().filter(|n| **n != NO_NODE) {
+                *node = node_of_key[*node as usize];
+            }
+            cell_nodes.push(nodes);
         }
+        col_start.push(labels.len() as u32);
 
-        // Edges, row-major, so each column's list is in row order.
-        let excluded: HashSet<(usize, usize)> = excluded.iter().copied().collect();
-        let mut edges: Vec<TypedEdges> = vec![TypedEdges::default(); n_cols];
-        for row in 0..n_rows {
-            for (col, index) in cell_index.iter().enumerate() {
-                if excluded.contains(&(row, col)) {
-                    continue;
-                }
-                if let Some(key) = value_key(table, row, col, decimals) {
-                    if let Some(&cell) = index.get(&key) {
-                        edges[col].pairs.push((row as u32, cell));
-                    }
-                }
+        // Edges, each column's list in row order, skipping excluded cells.
+        let mut dropped = vec![0u64; (n_rows * n_cols).div_ceil(64)];
+        for &(row, col) in excluded {
+            if row < n_rows && col < n_cols {
+                let bit = col * n_rows + row;
+                dropped[bit / 64] |= 1u64 << (bit % 64);
             }
         }
-        TableGraph {
+        let edges = cell_nodes
+            .iter()
+            .enumerate()
+            .map(|(col, nodes)| {
+                let pairs = nodes
+                    .iter()
+                    .enumerate()
+                    .filter(|&(row, &node)| {
+                        let bit = col * n_rows + row;
+                        node != NO_NODE && dropped[bit / 64] & (1u64 << (bit % 64)) == 0
+                    })
+                    .map(|(row, &node)| (row as u32, node))
+                    .collect();
+                TypedEdges { pairs }
+            })
+            .collect();
+        let graph = TableGraph {
             n_rows,
             n_cols,
             labels,
-            cell_index,
+            col_start,
+            cell_nodes,
             edges,
             config,
-        }
+        };
+        (graph, keys_made)
     }
 
     /// [`TableGraph::build`] wrapped in a [`grimp_obs::names::GRAPH_BUILD`]
-    /// span, also emitting node/edge counters into the trace.
+    /// span, also emitting node, edge and value-key counters into the
+    /// trace.
     pub fn build_traced(
         table: &Table,
         config: GraphConfig,
@@ -178,9 +277,10 @@ impl TableGraph {
     ) -> Self {
         use grimp_obs::names;
         let span = trace.enter(names::GRAPH_BUILD, 0);
-        let graph = Self::build(table, config, excluded);
+        let (graph, keys_made) = Self::build_counted(table, config, excluded);
         trace.counter(names::GRAPH_NODES, 0, graph.n_nodes() as u64);
         trace.counter(names::GRAPH_EDGES, 0, graph.n_edges() as u64);
+        trace.counter(names::GRAPH_KEYS, 0, keys_made);
         trace.exit(names::GRAPH_BUILD, 0, span);
         graph
     }
@@ -221,33 +321,38 @@ impl TableGraph {
         &self.labels[node]
     }
 
-    /// The cell node of a canonical value text within a column, if any.
-    pub fn cell_node(&self, col: usize, key: &str) -> Option<u32> {
-        self.cell_index[col].get(key).copied()
+    /// The cell node of table cell `(row, col)` of the table the graph was
+    /// built from: `None` for `∅` and for values the `max_cells_per_column`
+    /// cutoff dropped. An excluded cell keeps its node (exclusion drops
+    /// edges only). One array read, no key formatting.
+    pub fn node_of(&self, row: usize, col: usize) -> Option<u32> {
+        let node = self.cell_nodes[col][row];
+        (node != NO_NODE).then_some(node)
     }
 
-    /// The cell node of a table cell's current value, if non-null.
-    pub fn cell_node_of(&self, table: &Table, row: usize, col: usize) -> Option<u32> {
-        value_key(table, row, col, self.config.numeric_decimals)
-            .and_then(|k| self.cell_node(col, &k))
+    /// The cell node of a canonical value text within a column, if any — a
+    /// scan of the column's cell nodes; [`TableGraph::node_of`] is the
+    /// lookup for cells of the graph's own table.
+    pub fn cell_node(&self, col: usize, key: &str) -> Option<u32> {
+        self.column_cells(col)
+            .find(|&(text, _)| text == key)
+            .map(|(_, node)| node)
     }
 
     /// All cell nodes of one attribute with their canonical texts, in
     /// ascending node-id order. Deterministic ordering matters: consumers
-    /// sum floats over this iterator and build sampling structures from it,
-    /// so HashMap iteration order must not leak out.
+    /// sum floats over this iterator and build sampling structures from it.
     pub fn column_cells(&self, col: usize) -> impl Iterator<Item = (&str, u32)> {
-        let mut cells: Vec<(&str, u32)> = self.cell_index[col]
-            .iter()
-            .map(|(k, &v)| (k.as_str(), v))
-            .collect();
-        cells.sort_unstable_by_key(|&(_, v)| v);
-        cells.into_iter()
+        let nodes = self.col_start[col]..self.col_start[col + 1];
+        nodes.map(|node| match &self.labels[node as usize] {
+            NodeLabel::Cell { text, .. } => (text.as_str(), node),
+            NodeLabel::Rid(_) => unreachable!("invariant: column ranges hold cell nodes only"),
+        })
     }
 
     /// Number of distinct cell nodes of an attribute.
     pub fn n_column_cells(&self, col: usize) -> usize {
-        self.cell_index[col].len()
+        (self.col_start[col + 1] - self.col_start[col]) as usize
     }
 
     /// Typed edge list of one attribute.
@@ -559,7 +664,7 @@ mod tests {
         assert_eq!(g.n_column_cells(1), 2);
         // Capped-out cells resolve to no node and contribute no edges:
         // 10 "a"/"b" edges survive in column 0, all 12 in column 1.
-        assert_eq!(g.cell_node_of(&t, 4, 0), None);
+        assert_eq!(g.node_of(4, 0), None);
         assert_eq!(g.edges_of(0).pairs.len(), 10);
         assert_eq!(g.edges_of(1).pairs.len(), 12);
     }
@@ -614,11 +719,46 @@ mod tests {
     }
 
     #[test]
-    fn cell_node_of_resolves_current_values() {
+    fn node_of_resolves_every_cell() {
         let t = table();
-        let g = TableGraph::build(&t, GraphConfig::default(), &[]);
-        assert_eq!(g.cell_node_of(&t, 0, 0), g.cell_node(0, "FR"));
-        assert_eq!(g.cell_node_of(&t, 2, 0), None);
+        let g = TableGraph::build(&t, GraphConfig::default(), &[(0, 0)]);
+        // an excluded cell keeps its node; ∅ has none
+        assert_eq!(g.node_of(0, 0), g.cell_node(0, "FR"));
+        assert_eq!(g.node_of(1, 0), g.cell_node(0, "FR"));
+        assert_eq!(g.node_of(2, 0), None);
+        assert_eq!(g.node_of(0, 1), g.cell_node(1, "2015.0000"));
+        assert_eq!(g.node_of(1, 1), g.cell_node(1, "2014.0000"));
+        assert_eq!(g.node_of(2, 1), g.node_of(0, 1));
+    }
+
+    #[test]
+    fn values_that_print_alike_share_a_node() {
+        let schema = Schema::from_pairs(&[("x", ColumnKind::Numerical)]);
+        let mut t = Table::empty(schema);
+        for v in [-0.00001, -0.0, 0.0, f64::NAN, -f64::NAN, f64::INFINITY] {
+            t.push_value_row(&[Value::Num(v)]);
+        }
+        let mut sink = grimp_obs::MemorySink::new();
+        let g = TableGraph::build_traced(
+            &t,
+            GraphConfig::default(),
+            &[],
+            &mut grimp_obs::Trace::new(&mut sink),
+        );
+        // "-0.0000" ×2, "0.0000", "NaN" ×2, "inf"
+        let texts: Vec<&str> = g.column_cells(0).map(|(text, _)| text).collect();
+        assert_eq!(texts, ["-0.0000", "0.0000", "NaN", "inf"]);
+        assert_eq!(g.node_of(0, 0), g.node_of(1, 0));
+        assert_eq!(g.node_of(3, 0), g.node_of(4, 0));
+        assert_ne!(g.node_of(1, 0), g.node_of(2, 0));
+        // one text made per distinct bit pattern
+        let keys: Vec<u64> = sink
+            .events()
+            .iter()
+            .filter(|e| e.name == grimp_obs::names::GRAPH_KEYS)
+            .map(|e| e.value as u64)
+            .collect();
+        assert_eq!(keys, [6]);
     }
 
     /// Per-type neighbor lists built straight from the edge lists, apart

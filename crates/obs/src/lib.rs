@@ -287,6 +287,9 @@ pub mod names {
     pub const GRAPH_NODES: &str = "graph_nodes";
     /// Number of graph edges across all typed edge sets (counter).
     pub const GRAPH_EDGES: &str = "graph_edges";
+    /// Value texts the graph build made: one per distinct dictionary code
+    /// and distinct numerical bit pattern, never one per cell (counter).
+    pub const GRAPH_KEYS: &str = "graph_keys";
     /// Feature-initialization phase (random / hashed-n-gram / EMBDI).
     pub const FEATURE_INIT: &str = "feature_init";
     /// Feature dimensionality (counter).
@@ -470,6 +473,7 @@ pub mod names {
         GRAPH_BUILD,
         GRAPH_NODES,
         GRAPH_EDGES,
+        GRAPH_KEYS,
         FEATURE_INIT,
         FEATURE_DIM,
         MODEL_BUILD,

@@ -18,13 +18,13 @@
 //!   arithmetic does not depend on which range the row belongs to. Any row
 //!   partitioning therefore composes to exactly the serial result.
 //! * `matmul_tn` reduces over the shared row dimension. The strip kernel
-//!   ([`crate::tensor::gemm_tn_strip`]) keeps the outer k-loop intact and
+//!   (`gemm_tn_strip`) keeps the outer k-loop intact and
 //!   only restricts the inner sweep over output rows, so every output
 //!   element sees the same k-ascending accumulation order as the serial
 //!   kernel.
 //! * The CE forward is a cross-row reduction, which *would* depend on the
 //!   partitioning — so both backends reduce it over **fixed-size chunks**
-//!   ([`CE_CHUNK`] rows) whose per-chunk `f64` partials are summed in chunk
+//!   (`CE_CHUNK` rows) whose per-chunk `f64` partials are summed in chunk
 //!   order. The chunk size is independent of the thread count, hence
 //!   `Serial == Parallel(1) == Parallel(8)` bit-for-bit.
 //!
@@ -138,12 +138,12 @@ pub trait TensorBackend {
     }
 
     /// Total (unaveraged) cross-entropy loss `Σ_i -ln(max(p_ti, CE_P_MIN))`
-    /// over the rows of `logits`, reduced in fixed [`CE_CHUNK`]-row chunks.
+    /// over the rows of `logits`, reduced in fixed `CE_CHUNK`-row chunks.
     fn softmax_ce_loss(&self, logits: &Tensor, targets: &[u32]) -> f64;
 
     /// Cross-entropy backward: `dl` holds a copy of the logits on entry and
     /// the scaled gradient on exit. Rows whose target probability fell
-    /// below [`CE_P_MIN`] (where the forward loss is clamped flat) receive a
+    /// below `CE_P_MIN` (where the forward loss is clamped flat) receive a
     /// zero gradient.
     fn softmax_ce_backward(&self, dl: &mut Tensor, targets: &[u32], scale: f32);
 

@@ -1,7 +1,7 @@
 //! Finite-difference gradient verification.
 //!
 //! Used by unit and property tests throughout the workspace to certify that
-//! every backward rule in [`crate::tape`] matches the numerical derivative of
+//! every backward rule of [`crate::Tape`] matches the numerical derivative of
 //! its forward rule.
 
 use crate::tape::{Tape, Var};

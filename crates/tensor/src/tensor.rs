@@ -407,8 +407,8 @@ impl Tensor {
 }
 
 /// Width of the blocks in which the GEMM kernels fold the shared (k)
-/// dimension: [`gemm_rows`] sweeps [`GEMM_K_BLOCK`] columns of `a` per pass
-/// and [`gemm_tn_strip`] sums the shared row dimension [`GEMM_K_BLOCK`] rows
+/// dimension: `gemm_rows` sweeps [`GEMM_K_BLOCK`] columns of `a` per pass
+/// and `gemm_tn_strip` sums the shared row dimension [`GEMM_K_BLOCK`] rows
 /// at a time, with a scalar tail for the remainder. A product over a suffix
 /// of `aᵀ · b`'s shared rows whose start is a multiple of this width is
 /// therefore summed in the same groups as the full product — which is what

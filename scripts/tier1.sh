@@ -22,6 +22,10 @@ cargo check --locked --manifest-path perfbench/Cargo.toml
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --no-deps --workspace under RUSTDOCFLAGS=\"-D warnings\" (broken and"
+echo "    private intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
