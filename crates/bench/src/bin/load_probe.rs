@@ -2,8 +2,9 @@
 //! worker threads binds an in-process `grimp serve` [`Server`] on a
 //! loopback port and drives it with concurrent CSV impute requests over
 //! real sockets. Writes `BENCH_serve.json` in the working directory with
-//! each run's throughput (requests/sec, imputed rows/sec) and latency
-//! percentiles (p50/p99).
+//! each run's throughput (requests/sec, imputed rows/sec), latency
+//! percentiles (p50/p99) and the process's resident set (`VmRSS`) after
+//! the run's drain.
 //!
 //! Deterministic load shape (fixed table, fixed request count, fixed
 //! client fan-out); wall-clock numbers vary with the machine, the
@@ -11,7 +12,10 @@
 //! model restore per server whatever its worker count) do not. Whether
 //! more workers buy throughput depends on the cores the host grants, so
 //! the probe prints `available_parallelism` beside the numbers and claims
-//! nothing.
+//! nothing. While the accept loop polled a non-blocking listener every
+//! 5 ms, every worker count read a flat 547–583 req/s: that was the poll's
+//! ceiling (3 closed-loop clients got about one accept pass per 5 ms), not
+//! the model's.
 //!
 //! ```bash
 //! cargo run --release -p grimp-bench --bin load_probe
@@ -119,6 +123,21 @@ impl EventSink for RestoreCounter {
     }
 }
 
+/// The process's resident set (`VmRSS` in `/proc/self/status`) in MB;
+/// `None` where the file or the field does not exist.
+fn rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmRSS:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
+}
+
 /// One load run against a server with `workers` worker threads.
 struct Run {
     workers: usize,
@@ -127,6 +146,8 @@ struct Run {
     p99: f64,
     served: u64,
     restores: u64,
+    /// Resident set after the run's drain, in MB (NaN where unknown).
+    rss_mb: f64,
 }
 
 fn run(workers: usize, train: &Table, ckpt_dir: &std::path::Path, body: &str) -> Run {
@@ -204,6 +225,7 @@ fn run(workers: usize, train: &Table, ckpt_dir: &std::path::Path, body: &str) ->
         p99: percentile_ms(&latencies, 99.0),
         served: report.served,
         restores,
+        rss_mb: rss_mb().unwrap_or(f64::NAN),
     }
 }
 
@@ -246,7 +268,7 @@ fn main() {
             json,
             "    {{\"workers\": {}, \"total_seconds\": {}, \"requests_per_sec\": {}, \
              \"rows_per_sec\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \"served\": {}, \
-             \"shed\": 0, \"panics\": 0, \"model_restores\": {}}}{}",
+             \"shed\": 0, \"panics\": 0, \"model_restores\": {}, \"rss_mb\": {}}}{}",
             r.workers,
             json_f64(r.total_seconds),
             json_f64(requests_per_sec),
@@ -255,13 +277,14 @@ fn main() {
             json_f64(r.p99),
             r.served,
             r.restores,
+            json_f64(r.rss_mb),
             if i + 1 < runs.len() { "," } else { "" },
         );
         println!(
             "workers {}: {requests_per_sec:.1} req/s, {rows_per_sec:.0} rows/s, \
              p50 {:.1}ms, p99 {:.1}ms, {} model restore, drained clean \
-             (served {} incl. warm-up, shed 0)",
-            r.workers, r.p50, r.p99, r.restores, r.served
+             (served {} incl. warm-up, shed 0), RSS {:.1} MB",
+            r.workers, r.p50, r.p99, r.restores, r.served, r.rss_mb
         );
     }
     json.push_str("  ],\n  \"respawns\": 0,\n  \"clean_drain\": true\n}\n");

@@ -2,7 +2,10 @@
 //!
 //! A hand-rolled `signal(2)` registration (std already links libc, so no
 //! new dependency) flips a process-wide [`ShutdownFlag`] that the training
-//! loop checks at every epoch boundary and the serve accept loop polls.
+//! loop checks at every epoch boundary. The serve accept loop blocks in
+//! `accept`, which the signal does not interrupt (std retries on `EINTR`):
+//! the server's waker thread sees the flag within 10 ms and wakes it with a
+//! self-connect.
 //! The first Ctrl-C asks for a clean stop — checkpoint, impute from the
 //! current state (or drain the server), exit with [`EXIT_INTERRUPTED`]; a
 //! second signal aborts immediately, because a user pressing it twice

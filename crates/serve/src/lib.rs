@@ -21,9 +21,12 @@
 //!   deterministic fault injection to the socket layer (torn request,
 //!   mid-response disconnect, malformed payload, stalled body), so the
 //!   chaos harness can drive the full failure matrix reproducibly.
-//! - **Graceful drain.** On shutdown the listener stops accepting,
-//!   queued and in-flight requests finish within a drain deadline, and
-//!   [`Server::run`] reports whether the drain was clean.
+//! - **Graceful drain.** The accept loop blocks in `accept`, so a
+//!   connection is queued the moment it arrives. On shutdown a waker
+//!   thread connects to the listener to bring the loop out of `accept`;
+//!   that connection is closed unanswered and uncounted. The listener
+//!   stops accepting, queued and in-flight requests finish within a drain
+//!   deadline, and [`Server::run`] reports whether the drain was clean.
 //! - **Hot reload.** A watcher thread polls the checkpoint file (with a
 //!   deterministic per-seed jitter so server fleets do not poll in
 //!   lockstep); when the trainer rotates a new generation in
@@ -69,7 +72,7 @@ pub mod idem;
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
@@ -304,6 +307,8 @@ impl Shared {
 /// A bound-but-not-yet-running imputation server.
 pub struct Server {
     listener: TcpListener,
+    /// Where the waker connects to unblock `accept` on shutdown.
+    wake_addr: SocketAddr,
     shared: Arc<Shared>,
 }
 
@@ -342,7 +347,7 @@ impl Server {
             source,
         };
         let listener = TcpListener::bind(&cfg.addr).map_err(&bind_err)?;
-        listener.set_nonblocking(true).map_err(&bind_err)?;
+        let wake_addr = wake_addr(listener.local_addr().map_err(&bind_err)?);
         let current = Current {
             blob: bytes,
             train: Arc::new(source.train.clone()),
@@ -364,7 +369,11 @@ impl Server {
             sink,
             shutdown,
         });
-        Ok(Server { listener, shared })
+        Ok(Server {
+            listener,
+            wake_addr,
+            shared,
+        })
     }
 
     /// The bound address (resolves port 0 to the actual port).
@@ -377,15 +386,15 @@ impl Server {
 
     /// Run until the shutdown flag is raised, then drain and return.
     ///
-    /// Spawns the worker pool and the checkpoint watcher, then accepts
-    /// connections on the calling thread. On shutdown: stop accepting,
-    /// emit `drain_begin`, let workers finish queued and in-flight
-    /// requests within the drain deadline, emit `drain_end`
+    /// Spawns the worker pool, the checkpoint watcher and the shutdown
+    /// waker, then accepts connections on the calling thread. On shutdown:
+    /// stop accepting, emit `drain_begin`, let workers finish queued and
+    /// in-flight requests within the drain deadline, emit `drain_end`
     /// (value 1 = clean, 0 = deadline expired, stragglers abandoned).
     ///
     /// # Errors
-    /// [`GrimpError::Io`] when a worker or watcher thread cannot be
-    /// spawned; any workers that did start are drained first, so the
+    /// [`GrimpError::Io`] when a worker, watcher or waker thread cannot be
+    /// spawned; any threads that did start are drained first, so the
     /// error path leaks neither threads nor sockets.
     pub fn run(self) -> Result<DrainReport, GrimpError> {
         let workers = self.shared.cfg.workers.max(1);
@@ -397,26 +406,28 @@ impl Server {
                 .unwrap_or_else(|p| p.into_inner());
             *active = workers;
         }
-        let abort_spawn =
-            |handles: Vec<thread::JoinHandle<()>>, what: &str, source: std::io::Error| {
-                {
-                    let mut active = self
-                        .shared
-                        .active_workers
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner());
-                    *active = handles.len();
-                }
-                self.shared.draining.store(true, Ordering::SeqCst);
-                self.shared.job_ready.notify_all();
-                for h in handles {
-                    let _ = h.join();
-                }
-                GrimpError::Io {
-                    context: format!("spawning the {what} thread"),
-                    source,
-                }
-            };
+        let abort_spawn = |handles: Vec<thread::JoinHandle<()>>,
+                           helpers: Vec<thread::JoinHandle<()>>,
+                           what: &str,
+                           source: std::io::Error| {
+            {
+                let mut active = self
+                    .shared
+                    .active_workers
+                    .lock()
+                    .unwrap_or_else(|p| p.into_inner());
+                *active = handles.len();
+            }
+            self.shared.draining.store(true, Ordering::SeqCst);
+            self.shared.job_ready.notify_all();
+            for h in handles.into_iter().chain(helpers) {
+                let _ = h.join();
+            }
+            GrimpError::Io {
+                context: format!("spawning the {what} thread"),
+                source,
+            }
+        };
         let mut handles = Vec::with_capacity(workers);
         for worker_id in 0..workers {
             let shared = Arc::clone(&self.shared);
@@ -425,19 +436,31 @@ impl Server {
                 .spawn(move || worker_loop(&shared))
             {
                 Ok(handle) => handles.push(handle),
-                Err(e) => return Err(abort_spawn(handles, "worker", e)),
+                Err(e) => return Err(abort_spawn(handles, Vec::new(), "worker", e)),
             }
         }
-        let watcher = {
+        // The watcher and the waker both run until `draining` is set.
+        let mut helpers = Vec::with_capacity(2);
+        {
             let shared = Arc::clone(&self.shared);
             match thread::Builder::new()
                 .name("grimp-serve-watcher".to_string())
                 .spawn(move || watcher_loop(&shared))
             {
-                Ok(handle) => handle,
-                Err(e) => return Err(abort_spawn(handles, "watcher", e)),
+                Ok(handle) => helpers.push(handle),
+                Err(e) => return Err(abort_spawn(handles, helpers, "watcher", e)),
             }
-        };
+        }
+        {
+            let (shared, wake_addr) = (Arc::clone(&self.shared), self.wake_addr);
+            match thread::Builder::new()
+                .name("grimp-serve-waker".to_string())
+                .spawn(move || waker_loop(&shared, wake_addr))
+            {
+                Ok(handle) => helpers.push(handle),
+                Err(e) => return Err(abort_spawn(handles, helpers, "waker", e)),
+            }
+        }
 
         self.accept_loop();
 
@@ -478,7 +501,9 @@ impl Server {
             trace.counter(names::DRAIN_END, 0, u64::from(clean));
             let _ = trace.flush();
         }
-        let _ = watcher.join();
+        for h in helpers {
+            let _ = h.join();
+        }
         if clean {
             for h in handles {
                 let _ = h.join();
@@ -497,12 +522,24 @@ impl Server {
         })
     }
 
+    /// Accept connections until shutdown is requested, blocking in
+    /// `accept` so a connection is queued the moment it arrives. A signal
+    /// does not interrupt the wait (std retries `accept` on `EINTR`); the
+    /// waker's self-connect does.
     fn accept_loop(&self) {
         let shared = &self.shared;
         let mut accepted: usize = 0;
         let mut next_req_id: u64 = 0;
         while !shared.shutdown.is_requested() {
-            match self.listener.accept() {
+            let incoming = self.listener.accept();
+            // A connection accepted once shutdown was requested (the
+            // waker's, or a client's that raced it) is closed unanswered,
+            // like one left in the backlog: no request id, no connection
+            // index for the fault plan, no counter.
+            if shared.shutdown.is_requested() {
+                break;
+            }
+            match incoming {
                 Ok((stream, _peer)) => {
                     let conn = accepted;
                     accepted += 1;
@@ -513,10 +550,6 @@ impl Server {
                         .fault
                         .filter(|plan| plan.fires_on(conn))
                         .map(|plan| plan.kind);
-                    // Accepted sockets do not inherit the listener's
-                    // non-blocking mode on Linux, but make it explicit:
-                    // workers rely on blocking reads bounded by timeouts.
-                    let _ = stream.set_nonblocking(false);
                     let mut job = Job {
                         stream: FaultStream::new(stream, fault),
                         accepted_at: Instant::now(),
@@ -551,10 +584,6 @@ impl Server {
                         shared.job_ready.notify_one();
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     // Transient accept failures (EMFILE, ECONNABORTED)
                     // must not kill the server; back off briefly.
@@ -571,7 +600,7 @@ impl Server {
 /// bytes turns into a TCP RST that can race the error response off the
 /// wire before the client reads it.
 fn absorb_remaining(socket: &TcpStream, timeout: Duration) {
-    if socket.set_nonblocking(false).is_err() || socket.set_read_timeout(Some(timeout)).is_err() {
+    if socket.set_read_timeout(Some(timeout)).is_err() {
         return;
     }
     let mut sunk = 0usize;
@@ -587,6 +616,33 @@ fn absorb_remaining(socket: &TcpStream, timeout: Duration) {
                 }
             }
         }
+    }
+}
+
+/// The address the waker connects to: the listener's own, with an
+/// unspecified host (`0.0.0.0`, `[::]`) replaced by the loopback address
+/// of the same family.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Wakes the accept loop out of `accept` once shutdown is requested, by
+/// connecting to the listener. It retries every 10 ms until the accept
+/// loop has returned (`draining` is set), since a connect can fail (a
+/// full backlog, no free descriptor). A thread of its own, not the
+/// watcher's job: the watcher can be inside a restore for seconds.
+fn waker_loop(shared: &Shared, addr: SocketAddr) {
+    while !shared.draining.load(Ordering::SeqCst) {
+        if shared.shutdown.is_requested() {
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(100));
+        }
+        thread::sleep(Duration::from_millis(10));
     }
 }
 
@@ -1382,5 +1438,20 @@ mod jitter_tests {
         for ms in 0..4u64 {
             assert_eq!(poll_jitter(1, 7, Duration::from_millis(ms)), Duration::ZERO);
         }
+    }
+}
+
+#[cfg(test)]
+mod wake_tests {
+    use super::*;
+
+    #[test]
+    fn the_waker_dials_loopback_for_a_wildcard_bind_and_the_bound_host_otherwise() {
+        let wake = |bound: &str| wake_addr(bound.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:8080"), "127.0.0.1:8080");
+        assert_eq!(wake("[::]:8080"), "[::1]:8080");
+        assert_eq!(wake("127.0.0.1:9"), "127.0.0.1:9");
+        assert_eq!(wake("10.1.2.3:9"), "10.1.2.3:9");
+        assert_eq!(wake("[fe80::1]:9"), "[fe80::1]:9");
     }
 }

@@ -2,12 +2,16 @@
 //! load shedding, memory admission, the injected socket-fault matrix,
 //! hot reload, and graceful drain.
 
+use std::fs::File;
+use std::io::BufWriter;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use grimp::{GrimpConfig, GrimpError, Pipeline, ShutdownFlag};
-use grimp_obs::{names, EventKind, JsonlSink};
+use grimp_obs::{names, Event, EventKind, EventSink, JsonlSink};
 use grimp_serve::{client, ModelSource, ServeConfig, Server, SocketFaultKind, SocketFaultPlan};
 use grimp_table::csv::{read_csv_str, to_csv_string};
 use grimp_table::{inject_mcar, ColumnKind, Schema, Table};
@@ -74,11 +78,32 @@ fn fitted_source(name: &str, seed: u64) -> (ModelSource, Table, PathBuf) {
     )
 }
 
+/// The server's trace: the JSONL file, plus a live count of the watcher's
+/// `reload_poll` events (the file is buffered until the drain flushes it).
+struct TraceSink {
+    file: JsonlSink<BufWriter<File>>,
+    polls: Arc<AtomicUsize>,
+}
+
+impl EventSink for TraceSink {
+    fn record(&mut self, event: Event) {
+        if event.name == names::RELOAD_POLL {
+            self.polls.fetch_add(1, Ordering::SeqCst);
+        }
+        self.file.record(event);
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.file.flush()
+    }
+}
+
 struct Running {
     addr: String,
     shutdown: ShutdownFlag,
     handle: thread::JoinHandle<Result<grimp_serve::DrainReport, grimp::GrimpError>>,
     trace_path: PathBuf,
+    polls: Arc<AtomicUsize>,
 }
 
 impl Running {
@@ -87,7 +112,11 @@ impl Running {
             "grimp-serve-trace-{name}-{}.jsonl",
             std::process::id()
         ));
-        let sink = JsonlSink::create(&trace_path).unwrap();
+        let polls = Arc::new(AtomicUsize::new(0));
+        let sink = TraceSink {
+            file: JsonlSink::create(&trace_path).unwrap(),
+            polls: Arc::clone(&polls),
+        };
         let shutdown = ShutdownFlag::new();
         let server = Server::bind(cfg, source, shutdown.clone(), Box::new(sink)).unwrap();
         let addr = server.local_addr().unwrap().to_string();
@@ -97,11 +126,36 @@ impl Running {
             shutdown,
             handle,
             trace_path,
+            polls,
+        }
+    }
+
+    /// Wait until the watcher has polled the checkpoint at least once.
+    fn await_reload_poll(&self) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while self.polls.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < deadline, "the watcher never polled");
+            thread::sleep(Duration::from_millis(5));
         }
     }
 
     fn stop(self) -> (grimp_serve::DrainReport, String) {
+        self.stop_within(Duration::from_secs(60))
+    }
+
+    /// Request shutdown and require the server to finish its drain within
+    /// `bound`: a server that stays blocked in `accept` fails the test
+    /// instead of hanging it.
+    fn stop_within(self, bound: Duration) -> (grimp_serve::DrainReport, String) {
+        let asked = Instant::now();
         self.shutdown.request();
+        while !self.handle.is_finished() {
+            assert!(
+                asked.elapsed() < bound,
+                "the server did not drain within {bound:?} of the shutdown request"
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
         let report = self
             .handle
             .join()
@@ -394,6 +448,73 @@ fn drain_finishes_queued_work_before_exiting() {
 }
 
 #[test]
+fn an_idle_server_drains_promptly_on_loopback_and_wildcard_binds() {
+    // Nothing ever connects, so only the waker's self-connect brings the
+    // accept loop out of `accept`; on a wildcard bind it dials loopback.
+    for (label, addr) in [("loopback", "127.0.0.1:0"), ("wildcard", "0.0.0.0:0")] {
+        let name = format!("idle-{label}");
+        let (source, _dirty, dir) = fitted_source(&name, 5);
+        let cfg = ServeConfig {
+            addr: addr.to_string(),
+            reload_poll: Duration::from_millis(20),
+            ..ServeConfig::default()
+        };
+        let running = Running::start(&name, cfg, source);
+        // The helpers are up, so the accept loop is waiting in `accept`.
+        running.await_reload_poll();
+        let (report, trace) = running.stop_within(Duration::from_secs(2));
+        assert!(report.clean, "{label}");
+        assert_eq!((report.served, report.shed), (0, 0), "{label}");
+        let replay = grimp_obs::read_jsonl(&trace).unwrap();
+        assert!(
+            !replay.events.iter().any(|e| e.name == names::REQUEST),
+            "{label}: the wake is not a request"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn the_wake_connection_is_never_served_or_counted() {
+    let (source, dirty, dir) = fitted_source("wake", 5);
+    let cfg = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let running = Running::start("wake", cfg, source);
+
+    let health = client::request(&running.addr, "GET", "/healthz", b"").unwrap();
+    assert_eq!(health.status, 200);
+    let res = client::impute(&running.addr, &to_csv_string(&dirty)).unwrap();
+    assert_eq!(res.status, 200, "{:?}", String::from_utf8_lossy(&res.body));
+    let stats = client::request(&running.addr, "GET", "/stats", b"").unwrap();
+    let body = String::from_utf8(stats.body).unwrap();
+    assert!(body.contains("\"client_gone\":0"), "{body}");
+
+    // Three requests, all 2xx. A queued wake connection would be a fourth
+    // request span, answered `400 empty connection` or, if its write
+    // failed, counted `client_gone` (outcome 0).
+    let (report, trace) = running.stop_within(Duration::from_secs(2));
+    assert!(report.clean);
+    assert_eq!((report.served, report.shed), (3, 0));
+    let replay = grimp_obs::read_jsonl(&trace).unwrap();
+    let spans = replay
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::SpanExit && e.name == names::REQUEST)
+        .count();
+    assert_eq!(spans, 3, "one request span per request sent");
+    let outcomes: Vec<f64> = replay
+        .events
+        .iter()
+        .filter(|e| e.name == names::REQUEST_OUTCOME)
+        .map(|e| e.value)
+        .collect();
+    assert_eq!(outcomes, [200.0; 3]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn post_append_grows_the_served_table_and_swaps_the_generation() {
     let (source, dirty, dir) = fitted_source("append", 5);
     let cfg = ServeConfig {
@@ -423,6 +544,9 @@ fn post_append_grows_the_served_table_and_swaps_the_generation() {
     let res = client::impute(&running.addr, &to_csv_string(&grown)).unwrap();
     assert_eq!(res.status, 200, "{:?}", String::from_utf8_lossy(&res.body));
 
+    // The first poll comes 20–25 ms after start; the requests above can
+    // finish sooner than that.
+    running.await_reload_poll();
     let (report, trace) = running.stop();
     assert!(report.clean);
     assert_eq!(report.appends, 1);

@@ -23,8 +23,14 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps --workspace under RUSTDOCFLAGS=\"-D warnings\" (broken and"
-echo "    private intra-doc links fail)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+echo "    private intra-doc links fail; so does any cargo warning, such as two crates"
+echo "    documenting to one path)"
+DOC_LOG="$(mktemp)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace 2>&1 | tee "$DOC_LOG"
+if grep -q "warning:" "$DOC_LOG"; then
+    echo "cargo doc: warnings above"; rm -f "$DOC_LOG"; exit 1
+fi
+rm -f "$DOC_LOG"
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
