@@ -7,7 +7,6 @@
 //! all settings. Both solutions slightly outperform the random
 //! initialization."
 
-use grimp::Grimp;
 use grimp_bench::*;
 use grimp_datasets::DatasetId;
 use grimp_graph::FeatureSource;
@@ -40,8 +39,7 @@ fn main() {
         let instance = corrupt(&prepared, 0.20, 8100);
         let mut row = vec![prepared.abbr.to_string()];
         for (k, source) in sources.into_iter().enumerate() {
-            let cfg = profile.grimp_config().with_seed(0).with_features(source);
-            let mut model = Grimp::new(cfg);
+            let mut model = profile.grimp(0, |c| c.features = source);
             let cell = run_cell(&prepared, &instance, &mut model as &mut dyn Imputer, 0.20);
             let acc = cell.eval.accuracy().unwrap_or(0.0);
             sums[k] += acc;

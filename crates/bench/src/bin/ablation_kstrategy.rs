@@ -3,7 +3,7 @@
 //! the two FD datasets. The paper fixes Weak diagonal as default and uses
 //! +FD for GRIMP-A; this bin measures all four side by side.
 
-use grimp::{Grimp, KStrategy};
+use grimp::KStrategy;
 use grimp_bench::*;
 use grimp_datasets::DatasetId;
 use grimp_table::Imputer;
@@ -28,11 +28,9 @@ fn main() {
         for &rate in &[0.20] {
             let instance = corrupt(&prepared, rate, 8000);
             for (name, strategy) in strategies {
-                let cfg = profile
-                    .grimp_config()
-                    .with_seed(0)
-                    .with_k_strategy(strategy);
-                let mut model = Grimp::with_fds(cfg, prepared.fds.clone());
+                let mut model = profile
+                    .grimp(0, |c| c.k_strategy = strategy)
+                    .with_fds(prepared.fds.clone());
                 let cell = run_cell(&prepared, &instance, &mut model as &mut dyn Imputer, rate);
                 table.row(vec![
                     prepared.abbr.to_string(),

@@ -3,7 +3,6 @@
 //! l11 using GCN, l12 uses GraphSAGE…)" but evaluates only GraphSAGE.
 //! This bin measures all-SAGE vs all-GCN vs the alternating mix.
 
-use grimp::Grimp;
 use grimp_bench::*;
 use grimp_datasets::DatasetId;
 use grimp_gnn::OperatorAssignment;
@@ -31,9 +30,7 @@ fn main() {
         let prepared = prepare(id, profile, 0);
         let instance = corrupt(&prepared, 0.20, 8400);
         for (name, op) in operators {
-            let mut cfg = profile.grimp_config().with_seed(0);
-            cfg.gnn.operator = op;
-            let mut model = Grimp::new(cfg);
+            let mut model = profile.grimp(0, |c| c.gnn.operator = op);
             let cell = run_cell(&prepared, &instance, &mut model as &mut dyn Imputer, 0.20);
             table.row(vec![
                 prepared.abbr.to_string(),

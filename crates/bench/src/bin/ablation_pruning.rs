@@ -3,7 +3,6 @@
 //! thousands of rows) dominate aggregation cost; capping the sampled
 //! neighborhood trades a little accuracy for time.
 
-use grimp::Grimp;
 use grimp_bench::*;
 use grimp_datasets::DatasetId;
 use grimp_table::Imputer;
@@ -27,9 +26,7 @@ fn main() {
         let prepared = prepare(id, profile, 0);
         let instance = corrupt(&prepared, 0.20, 8200);
         for (name, cap) in caps {
-            let mut cfg = profile.grimp_config().with_seed(0);
-            cfg.gnn.neighbor_cap = cap;
-            let mut model = Grimp::new(cfg);
+            let mut model = profile.grimp(0, |c| c.gnn.neighbor_cap = cap);
             let cell = run_cell(&prepared, &instance, &mut model as &mut dyn Imputer, 0.20);
             table.row(vec![
                 prepared.abbr.to_string(),

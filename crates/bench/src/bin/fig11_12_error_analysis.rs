@@ -8,7 +8,6 @@
 //! high accuracy on frequent values, while failing frequently on rarer
 //! values", tracking the expected curve.
 
-use grimp::Grimp;
 use grimp_baselines::{
     AimNetConfig, AimNetLike, DataWigConfig, DataWigLike, MissForest, MissForestConfig,
 };
@@ -34,7 +33,7 @@ fn main() {
         let epochs = profile.baseline_epochs();
         let mut methods: Vec<(String, Table)> = Vec::new();
         let roster: Vec<Box<dyn Imputer>> = vec![
-            Box::new(Grimp::new(profile.grimp_config().with_seed(0))),
+            Box::new(profile.grimp(0, |_| {})),
             Box::new(MissForest::new(MissForestConfig::default())),
             Box::new(AimNetLike::new(AimNetConfig {
                 epochs,

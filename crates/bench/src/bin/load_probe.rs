@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use grimp::{CheckpointPolicy, GrimpConfig, GrimpConfigBuilder, Pipeline, ShutdownFlag, TaskKind};
+use grimp::{GrimpConfig, Pipeline, ShutdownFlag, TaskKind};
 use grimp_graph::FeatureSource;
 use grimp_obs::{names, Event, EventKind, EventSink};
 use grimp_serve::{client, ModelSource, ServeConfig, Server};
@@ -79,20 +79,15 @@ fn request_csv() -> String {
 }
 
 fn probe_config(ckpt: Option<&std::path::Path>) -> GrimpConfig {
-    let mut b = GrimpConfigBuilder::from_config(GrimpConfig::fast())
-        .seed(11)
-        .max_epochs(6)
-        .patience(6);
-    if let Some(dir) = ckpt {
-        b = b.checkpointing(CheckpointPolicy {
-            dir: Some(dir.to_path_buf()),
-            ..Default::default()
-        });
+    GrimpConfig {
+        seed: 11,
+        max_epochs: 6,
+        patience: 6,
+        checkpoint_dir: ckpt.map(std::path::Path::to_path_buf),
+        task_kind: TaskKind::Attention,
+        features: FeatureSource::FastText,
+        ..GrimpConfig::fast()
     }
-    let mut cfg = b.build().expect("probe config is valid");
-    cfg.task_kind = TaskKind::Attention;
-    cfg.features = FeatureSource::FastText;
-    cfg
 }
 
 /// The percentile (0..=100) of a sorted latency slice, in milliseconds.

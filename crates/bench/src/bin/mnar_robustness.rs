@@ -7,7 +7,6 @@
 //! accuracy — rare values are both harder (§5) and over-represented in the
 //! test set — but learned models should degrade less than the mode floor.
 
-use grimp::Grimp;
 use grimp_baselines::{MeanMode, MissForest, MissForestConfig};
 use grimp_bench::*;
 use grimp_datasets::DatasetId;
@@ -33,7 +32,7 @@ fn main() {
             Instance { dirty, log }
         };
         let methods: Vec<Box<dyn Imputer>> = vec![
-            Box::new(Grimp::new(profile.grimp_config().with_seed(0))),
+            Box::new(profile.grimp(0, |_| {})),
             Box::new(MissForest::new(MissForestConfig::default())),
             Box::new(MeanMode),
         ];

@@ -6,7 +6,6 @@
 //! accuracy drop is small (paper reports an absolute decrease of ~0.06 %
 //! with 10 % typos; we report the measured delta).
 
-use grimp::Grimp;
 use grimp_bench::*;
 use grimp_datasets::DatasetId;
 use grimp_table::{inject_typos, Imputer};
@@ -25,7 +24,7 @@ fn main() {
 
         // clean arm: 5 % MCAR on the original table
         let clean_instance = corrupt(&prepared, 0.05, 7000);
-        let mut model = Grimp::new(profile.grimp_config().with_seed(0));
+        let mut model = profile.grimp(0, |_| {});
         let clean_cell = run_cell(
             &prepared,
             &clean_instance,
@@ -47,7 +46,7 @@ fn main() {
             fds: prepared.fds.clone(),
         };
         let noisy_instance = corrupt(&noisy_prepared, 0.05, 7000);
-        let mut model = Grimp::new(profile.grimp_config().with_seed(0));
+        let mut model = profile.grimp(0, |_| {});
         let noisy_cell = run_cell(
             &noisy_prepared,
             &noisy_instance,

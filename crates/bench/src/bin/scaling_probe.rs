@@ -31,8 +31,8 @@ use std::fs;
 use std::time::Instant;
 
 use grimp::{
-    estimate_footprint, table_to_wal_rows, BackendKind, DownscaleRung, FinetuneConfig, Grimp,
-    GrimpConfig, Pipeline, SamplerConfig, TaskKind,
+    estimate_footprint, table_to_wal_rows, BackendKind, DownscaleRung, FinetuneConfig, GrimpConfig,
+    Pipeline, SamplerConfig, TaskKind,
 };
 use grimp_datasets::generate_large;
 use grimp_gnn::GnnConfig;
@@ -118,17 +118,20 @@ fn run_size(rows: usize) -> SizeResult {
         .map(|j| dirty.column(j).n_distinct())
         .sum();
 
+    let pipeline = Pipeline::new(cfg).expect("probe config is valid");
     let start = Instant::now();
-    let mut model = Grimp::new(cfg);
     let mut sink = MemorySink::new();
-    let imputed = model.fit_impute_traced(&dirty, &mut sink);
+    let fitted = pipeline.fit_traced(&dirty, &mut sink).expect("fits");
+    let imputed = fitted
+        .impute_traced(&dirty, &mut sink)
+        .expect("training table");
     let seconds = start.elapsed().as_secs_f64();
     assert_eq!(
         imputed.n_missing(),
         0,
         "{rows} rows: missing cells survived"
     );
-    let report = model.last_report().expect("fit_impute sets a report");
+    let report = fitted.report();
     assert_eq!(report.sampler_batch_rows, Some(4096.min(rows)));
     let allocs_after_epoch1: u64 = report.epoch_allocs().iter().skip(1).sum();
     let counters = |name: &'static str| {
@@ -196,16 +199,17 @@ fn run_governed(rows: usize) -> GovernedResult {
         mb(floor_bytes)
     );
 
+    let pipeline = Pipeline::new(cfg).expect("probe config is valid");
     let start = Instant::now();
-    let mut model = Grimp::new(cfg);
-    let imputed = model.fit_impute(&dirty);
+    let fitted = pipeline.fit(&dirty).expect("fits");
+    let imputed = fitted.impute(&dirty).expect("training table");
     let seconds = start.elapsed().as_secs_f64();
     assert_eq!(
         imputed.n_missing(),
         0,
         "governed run: missing cells survived"
     );
-    let report = model.last_report().expect("fit_impute sets a report");
+    let report = fitted.report();
     assert!(
         report
             .downscales

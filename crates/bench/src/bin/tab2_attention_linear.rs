@@ -5,7 +5,7 @@
 //! (0.707/0.679/0.637 vs 0.700/0.671/0.618), linear roughly an order of
 //! magnitude faster.
 
-use grimp::{Grimp, TaskKind};
+use grimp::TaskKind;
 use grimp_bench::*;
 use grimp_datasets::DatasetId;
 use grimp_table::Imputer;
@@ -41,9 +41,7 @@ fn main() {
             for id in DatasetId::ALL {
                 let prepared = prepare(id, profile, 0);
                 let instance = corrupt(&prepared, rate, 3000 + (rate * 100.0) as u64);
-                let mut cfg = profile.grimp_config().with_seed(0);
-                cfg.task_kind = kind;
-                let mut model = Grimp::new(cfg);
+                let mut model = profile.grimp(0, |c| c.task_kind = kind);
                 let cell = run_cell(&prepared, &instance, &mut model as &mut dyn Imputer, rate);
                 if let Some(a) = cell.eval.accuracy() {
                     acc_sum += a;

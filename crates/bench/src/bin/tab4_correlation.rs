@@ -7,7 +7,6 @@
 //! F+_avg (≈ 0.536) — "better results when the distribution is skewed
 //! towards few, very frequent values".
 
-use grimp::Grimp;
 use grimp_bench::*;
 use grimp_datasets::DatasetId;
 use grimp_metrics::{dataset_stats, pearson};
@@ -31,7 +30,7 @@ fn main() {
         let prepared = prepare(id, profile, 0);
         let stats = dataset_stats(&prepared.clean);
         let instance = corrupt(&prepared, 0.50, 5000);
-        let mut model = Grimp::new(profile.grimp_config().with_seed(0));
+        let mut model = profile.grimp(0, |_| {});
         let cell = run_cell(&prepared, &instance, &mut model as &mut dyn Imputer, 0.50);
         let a = cell.eval.accuracy().unwrap_or(0.0);
         s.push(stats.s_avg);

@@ -30,7 +30,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use grimp::{GnnMc, Grimp, GrimpConfig, KStrategy};
+use grimp::{GnnMc, GrimpConfig, KStrategy, Pipeline};
 use grimp_baselines::{
     AimNetConfig, AimNetLike, DataWigConfig, DataWigLike, EmbdiMc, EmbdiMcConfig, FdRepair, Gain,
     GainConfig, KnnImputer, MeanMode, Mice, MiceConfig, Mida, MidaConfig, MissForest,
@@ -97,6 +97,17 @@ impl Profile {
             },
             Profile::Full => GrimpConfig::paper(),
         }
+    }
+
+    /// This profile's GRIMP configuration with `seed`, changed by `f`, as
+    /// an [`Imputer`]: a [`Pipeline`] fits and imputes in one call.
+    pub fn grimp(self, seed: u64, f: impl FnOnce(&mut GrimpConfig)) -> Pipeline {
+        let mut config = GrimpConfig {
+            seed,
+            ..self.grimp_config()
+        };
+        f(&mut config);
+        Pipeline::new(config).expect("a valid GRIMP configuration")
     }
 
     /// Label for output headers.
@@ -185,12 +196,9 @@ pub fn corrupt(prepared: &Prepared, rate: f64, seed: u64) -> Instance {
 /// baselines).
 pub fn fig8_algorithms(profile: Profile, seed: u64) -> Vec<Box<dyn Imputer>> {
     let epochs = profile.baseline_epochs();
-    let base = profile.grimp_config().with_seed(seed);
     vec![
-        Box::new(Grimp::new(
-            base.clone().with_features(FeatureSource::FastText),
-        )),
-        Box::new(Grimp::new(base.with_features(FeatureSource::Embdi))),
+        Box::new(profile.grimp(seed, |c| c.features = FeatureSource::FastText)),
+        Box::new(profile.grimp(seed, |c| c.features = FeatureSource::Embdi)),
         Box::new(MissForest::new(MissForestConfig {
             seed,
             ..Default::default()
@@ -242,9 +250,8 @@ pub fn reference_algorithms(seed: u64) -> Vec<Box<dyn Imputer>> {
 /// The Table 3 roster: FD-REPAIR, MissForest, FUNFOREST, GRIMP-A.
 pub fn tab3_algorithms(profile: Profile, seed: u64, fds: &FdSet) -> Vec<Box<dyn Imputer>> {
     let grimp_a = profile
-        .grimp_config()
-        .with_seed(seed)
-        .with_k_strategy(KStrategy::WeakDiagonalFd);
+        .grimp(seed, |c| c.k_strategy = KStrategy::WeakDiagonalFd)
+        .with_fds(fds.clone());
     vec![
         Box::new(FdRepair::new(fds.clone())),
         Box::new(MissForest::new(MissForestConfig {
@@ -258,21 +265,19 @@ pub fn tab3_algorithms(profile: Profile, seed: u64, fds: &FdSet) -> Vec<Box<dyn 
             },
             fds.clone(),
         )),
-        Box::new(Grimp::with_fds(grimp_a, fds.clone())),
+        Box::new(grimp_a),
     ]
 }
 
 /// The Fig. 10 ablation roster: GRIMP-MT (full), GNN-MC, EmbDI-MC.
 pub fn fig10_algorithms(profile: Profile, seed: u64) -> Vec<(String, Box<dyn Imputer>)> {
-    let base = profile
-        .grimp_config()
-        .with_seed(seed)
-        .with_features(FeatureSource::Embdi);
+    let grimp_mt = profile.grimp(seed, |c| c.features = FeatureSource::Embdi);
+    let base = grimp_mt.config().clone();
     let epochs = profile.baseline_epochs();
     vec![
         (
             "GRIMP-MT".to_string(),
-            Box::new(Grimp::new(base.clone())) as Box<dyn Imputer>,
+            Box::new(grimp_mt) as Box<dyn Imputer>,
         ),
         ("GNN-MC".to_string(), Box::new(GnnMc::new(base))),
         (

@@ -78,12 +78,18 @@ impl Args {
 
     /// Typed option with default.
     pub fn opt_parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| ArgError(format!("--{key} {raw}: cannot parse value"))),
-        }
+        Ok(self.opt_parse_maybe(key)?.unwrap_or(default))
+    }
+
+    /// Typed option, `None` when absent.
+    pub fn opt_parse_maybe<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ArgError> {
+        self.options
+            .get(key)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| ArgError(format!("--{key} {raw}: cannot parse value")))
+            })
+            .transpose()
     }
 
     /// Boolean flag presence.

@@ -7,8 +7,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use grimp::{
-    BackendKind, CheckpointPolicy, ErrorCategory, GrimpConfig, GrimpConfigBuilder, GrimpError,
-    Pipeline, ResourceLimits, SamplerConfig, TaskKind,
+    BackendKind, ErrorCategory, FinetuneConfig, GrimpConfig, GrimpError, Pipeline, SamplerConfig,
+    TaskKind,
 };
 use grimp_baselines::{
     AimNetConfig, AimNetLike, DataWigConfig, DataWigLike, EmbdiMc, EmbdiMcConfig, Gain, GainConfig,
@@ -163,8 +163,6 @@ COMMANDS:
              GRIMP_FAULT_FS=kind[:times[:from_op]] injects deterministic
              faults (enospc|perm|torn|transient) into checkpoint-path IO
              for testing; the run degrades instead of failing
-             --append-from rows.csv appends those rows to the input table
-             instead of refitting it from scratch (see `grimp append`)
     append   <base.csv> --rows rows.csv --checkpoint-dir DIR
              [--algo grimp|grimp-e|grimp-linear] [--seed N] [--paper]
              [--finetune-epochs N] [--drift-band R] [-o out.csv]
@@ -381,86 +379,68 @@ fn build_baseline(name: &str, seed: u64) -> Result<Box<dyn Imputer>, CliError> {
     })
 }
 
-/// Build a validated [`Pipeline`] for one of the grimp variants from the
-/// CLI options, via the typed config builder.
-fn build_pipeline(name: &str, seed: u64, args: &Args) -> Result<Pipeline, CliError> {
-    let base = if args.flag("paper") {
+/// `Pipeline::new`, with a rejected configuration as a CLI config error
+/// (exit code 2).
+fn new_pipeline(config: GrimpConfig) -> Result<Pipeline, CliError> {
+    Pipeline::new(config).map_err(|e| CliError::config(e.to_string()))
+}
+
+/// The options that fix a grimp variant's model *structure*: the preset
+/// (`--paper`), the variant (`--algo`), `--seed` and the backend
+/// (`--threads`). `grimp serve` restores a fit's checkpoint only when it
+/// parses these as the fit did, so every command parses them here.
+fn structural_config(args: &Args) -> Result<GrimpConfig, CliError> {
+    let preset = if args.flag("paper") {
         GrimpConfig::paper()
     } else {
         GrimpConfig::fast()
     };
-    // Start the grouped sub-configs from the preset's values so only the
-    // flags the user actually passed are overridden.
-    let mut ckpt = base.checkpointing();
-    let mut limits = base.limits();
-    let mut builder = GrimpConfigBuilder::from_config(base).seed(seed);
-    builder = match name {
-        "grimp" => builder,
-        "grimp-e" => builder.features(FeatureSource::Embdi),
-        "grimp-linear" => builder.task_kind(TaskKind::Linear),
+    let mut config = GrimpConfig {
+        seed: args.opt_parse("seed", 0u64)?,
+        ..preset
+    };
+    match args.opt("algo").unwrap_or("grimp") {
+        "grimp" => {}
+        "grimp-e" => config.features = FeatureSource::Embdi,
+        "grimp-linear" => config.task_kind = TaskKind::Linear,
         other => {
             return Err(CliError::config(format!(
                 "unknown algorithm {other:?} (see `grimp help`)"
             )))
         }
-    };
-    if let Some(dir) = args.opt("checkpoint-dir") {
-        ckpt.dir = Some(std::path::PathBuf::from(dir));
     }
-    ckpt.resume = args.flag("resume");
-    builder = builder.checkpointing(ckpt);
-    if let Some(raw) = args.opt("deadline") {
-        let secs: f64 = raw
-            .parse()
-            .map_err(|_| CliError::config(format!("--deadline {raw}: cannot parse value")))?;
-        limits.deadline_secs = Some(secs);
+    // `--threads 1` still selects the parallel backend (pool of one);
+    // validation rejects 0 with a typed ZeroThreads error.
+    if let Some(threads) = args.opt_parse_maybe("threads")? {
+        config.backend = BackendKind::Parallel { threads };
     }
-    if let Some(raw) = args.opt("memory-budget-mb") {
-        let mb: usize = raw.parse().map_err(|_| {
-            CliError::config(format!("--memory-budget-mb {raw}: cannot parse value"))
-        })?;
-        limits.memory_budget_mb = Some(mb);
-    }
-    builder = builder.limits(limits);
+    Ok(config)
+}
+
+/// The validated pipeline of `grimp impute` and `grimp append`: the
+/// structural options plus the training-only ones (checkpointing,
+/// governance, sampling, fine-tuning), the Ctrl-C flag, and
+/// `GRIMP_FAULT_FS`.
+fn training_pipeline(args: &Args) -> Result<Pipeline, CliError> {
+    let mut config = structural_config(args)?;
+    config.checkpoint_dir = args.opt("checkpoint-dir").map(std::path::PathBuf::from);
+    config.resume = args.flag("resume");
+    config.deadline_secs = args.opt_parse_maybe("deadline")?;
+    config.memory_budget_mb = args.opt_parse_maybe("memory-budget-mb")?;
     if args.opt("batch-rows").is_some() || args.opt("fanout").is_some() {
-        let mut sampler = SamplerConfig::default();
-        if let Some(raw) = args.opt("batch-rows") {
-            sampler.batch_rows = raw
-                .parse()
-                .map_err(|_| CliError::config(format!("--batch-rows {raw}: cannot parse value")))?;
-        }
-        if let Some(raw) = args.opt("fanout") {
-            sampler.fanout = raw
-                .parse()
-                .map_err(|_| CliError::config(format!("--fanout {raw}: cannot parse value")))?;
-        }
-        builder = builder.sampler(sampler);
+        let default = SamplerConfig::default();
+        config.sampler = Some(SamplerConfig {
+            batch_rows: args.opt_parse("batch-rows", default.batch_rows)?,
+            fanout: args.opt_parse("fanout", default.fanout)?,
+        });
     }
-    if let Some(raw) = args.opt("threads") {
-        let threads: usize = raw
-            .parse()
-            .map_err(|_| CliError::config(format!("--threads {raw}: cannot parse value")))?;
-        // `--threads 1` still selects the parallel backend (pool of one);
-        // the builder rejects 0 with a typed ZeroThreads error.
-        builder = builder.backend(BackendKind::Parallel { threads });
-    }
-    if args.opt("finetune-epochs").is_some() || args.opt("drift-band").is_some() {
-        let mut ft = grimp::FinetuneConfig::default();
-        if let Some(raw) = args.opt("finetune-epochs") {
-            ft.epochs = raw.parse().map_err(|_| {
-                CliError::config(format!("--finetune-epochs {raw}: cannot parse value"))
-            })?;
-        }
-        if let Some(raw) = args.opt("drift-band") {
-            ft.drift_band = raw
-                .parse()
-                .map_err(|_| CliError::config(format!("--drift-band {raw}: cannot parse value")))?;
-        }
-        builder = builder.finetune(ft);
-    }
+    config.finetune = FinetuneConfig {
+        epochs: args.opt_parse("finetune-epochs", config.finetune.epochs)?,
+        drift_band: args.opt_parse("drift-band", config.finetune.drift_band)?,
+    };
     // The process-wide SIGINT flag: a Ctrl-C stops training at the next
     // epoch boundary and the run imputes from its current state.
-    builder = builder.shutdown(crate::signal::shutdown_flag());
+    config.shutdown = Some(crate::signal::shutdown_flag());
     // Deterministic IO faults on the checkpoint path, for testing the
     // degradation behaviour of the real binary.
     if let Ok(spec) = std::env::var("GRIMP_FAULT_FS") {
@@ -471,13 +451,10 @@ fn build_pipeline(name: &str, seed: u64, args: &Args) -> Result<Pipeline, CliErr
                      enospc|perm|torn|transient"
                 ))
             })?;
-            builder = builder.io_fault(Some(plan));
+            config.io_fault = Some(plan);
         }
     }
-    let config = builder
-        .build()
-        .map_err(|e| CliError::config(e.to_string()))?;
-    Pipeline::new(config).map_err(|e| CliError::config(e.to_string()))
+    new_pipeline(config)
 }
 
 /// Print the `--metrics` summary derived from the recorded event stream.
@@ -518,19 +495,15 @@ fn write_metrics(sink: &MemorySink, out: &mut dyn Write) -> Result<(), CliError>
     Ok(())
 }
 
-/// The grimp-variant impute path: Pipeline + event sinks. Returns the
-/// imputed table and the process exit code for the run — 0 normally,
-/// [`crate::signal::EXIT_DEADLINE`] when `--deadline` stopped training,
-/// [`crate::signal::EXIT_INTERRUPTED`] when Ctrl-C did. Either way the
-/// imputation is complete.
-fn impute_grimp(
-    name: &str,
-    seed: u64,
+/// Run `work` with the event sink the run's flags ask for — a
+/// `--trace-out` JSONL file and the `--metrics` recorder, fanned out, or the
+/// NullSink when neither is set — then report the trace file and print the
+/// metrics summary.
+fn with_run_sink<T>(
     args: &Args,
-    table: &Table,
     out: &mut dyn Write,
-) -> Result<(Table, i32), CliError> {
-    let pipeline = build_pipeline(name, seed, args)?;
+    work: impl FnOnce(&mut dyn EventSink) -> Result<T, CliError>,
+) -> Result<T, CliError> {
     let mut memory = MemorySink::new();
     // An unopenable trace file degrades the sink, not the run: imputation
     // is the contract, observability is best-effort.
@@ -547,9 +520,8 @@ fn impute_grimp(
         },
         None => None,
     };
-    let mut null = NullSink;
     let want_metrics = args.flag("metrics");
-    let want_trace = jsonl.is_some();
+    let traced = want_metrics || jsonl.is_some();
     let mut fan = FanoutSink::new();
     if want_metrics {
         fan.add(&mut memory);
@@ -557,13 +529,11 @@ fn impute_grimp(
     if let Some(sink) = jsonl.as_mut() {
         fan.add(sink);
     }
-    let sink: &mut dyn EventSink = if want_metrics || want_trace {
-        &mut fan
+    let result = if traced {
+        work(&mut fan)
     } else {
-        &mut null
-    };
-    let fitted = pipeline.fit_traced(table, sink)?;
-    let imputed = fitted.impute_traced(table, sink)?;
+        work(&mut NullSink)
+    }?;
     drop(fan);
     if let Some(sink) = jsonl {
         let path = args.opt("trace-out").unwrap_or_default();
@@ -579,6 +549,25 @@ fn impute_grimp(
     if want_metrics {
         write_metrics(&memory, out)?;
     }
+    Ok(result)
+}
+
+/// The grimp-variant impute path: fit `pipeline`, then impute the table,
+/// under the run's event sinks. Returns the imputed table and the process
+/// exit code for the run — 0 normally, [`crate::signal::EXIT_DEADLINE`]
+/// when `--deadline` stopped training, [`crate::signal::EXIT_INTERRUPTED`]
+/// when Ctrl-C did. Either way the imputation is complete.
+fn impute_grimp(
+    pipeline: &Pipeline,
+    args: &Args,
+    table: &Table,
+    out: &mut dyn Write,
+) -> Result<(Table, i32), CliError> {
+    let (fitted, imputed) = with_run_sink(args, out, |sink| {
+        let fitted = pipeline.fit_traced(table, sink)?;
+        let imputed = fitted.impute_traced(table, sink)?;
+        Ok((fitted, imputed))
+    })?;
     // Surface the run's governance decisions and non-fatal IO problems.
     let report = fitted.report();
     for d in &report.downscales {
@@ -629,9 +618,6 @@ fn cmd_impute(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
         "threads",
         "batch-rows",
         "fanout",
-        "append-from",
-        "finetune-epochs",
-        "drift-band",
     ])?;
     let input = args.require_positional(0, "input CSV path")?;
     let table = load(input)?;
@@ -650,9 +636,6 @@ fn cmd_impute(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
             "threads",
             "batch-rows",
             "fanout",
-            "append-from",
-            "finetune-epochs",
-            "drift-band",
         ] {
             if args.opt(flag).is_some() {
                 return Err(CliError::config(format!(
@@ -666,33 +649,27 @@ fn cmd_impute(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
             )));
         }
     }
-    let display_name = if is_grimp {
-        build_pipeline(algo_name, seed, args)?.name().to_string()
-    } else {
-        build_baseline(algo_name, seed)?.name().to_string()
+    let header = |name: &str| {
+        format!(
+            "{}: {} rows x {} cols, {} missing cells — imputing with {}",
+            input,
+            table.n_rows(),
+            table.n_columns(),
+            table.n_missing(),
+            name
+        )
     };
-    writeln!(
-        out,
-        "{}: {} rows x {} cols, {} missing cells — imputing with {}",
-        input,
-        table.n_rows(),
-        table.n_columns(),
-        table.n_missing(),
-        display_name
-    )?;
-    let start = std::time::Instant::now();
-    let (imputed, code) = if let Some(rows_path) = args.opt("append-from") {
-        if args.opt("batch-rows").is_some() || args.opt("fanout").is_some() {
-            return Err(CliError::config(
-                "--append-from cannot be combined with sampled training \
-                 (--batch-rows/--fanout)",
-            ));
-        }
-        append_grimp(algo_name, seed, args, &table, rows_path, out)?
-    } else if is_grimp {
-        impute_grimp(algo_name, seed, args, &table, out)?
+    let start;
+    let (imputed, code) = if is_grimp {
+        let pipeline = training_pipeline(args)?;
+        writeln!(out, "{}", header(pipeline.name()))?;
+        start = std::time::Instant::now();
+        impute_grimp(&pipeline, args, &table, out)?
     } else {
-        (build_baseline(algo_name, seed)?.impute(&table), 0)
+        let mut baseline = build_baseline(algo_name, seed)?;
+        writeln!(out, "{}", header(baseline.name()))?;
+        start = std::time::Instant::now();
+        (baseline.impute(&table), 0)
     };
     writeln!(
         out,
@@ -704,14 +681,12 @@ fn cmd_impute(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
     Ok(code)
 }
 
-/// The append path shared by `grimp append` and `grimp impute
-/// --append-from`: log the delta rows to the WAL, fine-tune or refit, and
-/// write the imputed concatenated table. Returns the process exit code —
-/// 0 normally, 130/6 when Ctrl-C or `--deadline` stopped the fine-tune
-/// early (the WAL then stays pending so a re-run resumes it).
+/// The append path of `grimp append`: log the delta rows to the WAL,
+/// fine-tune or refit, and return the imputed concatenated table with the
+/// process exit code — 0 normally, 130/6 when Ctrl-C or `--deadline`
+/// stopped the fine-tune early (the WAL then stays pending so a re-run
+/// resumes it).
 fn append_grimp(
-    name: &str,
-    seed: u64,
     args: &Args,
     base: &Table,
     rows_path: &str,
@@ -727,53 +702,10 @@ fn append_grimp(
         )));
     }
     let rows = grimp::table_to_wal_rows(&rows_table);
-    let pipeline = build_pipeline(name, seed, args)?;
-
-    let mut memory = MemorySink::new();
-    let mut jsonl = match args.opt("trace-out") {
-        Some(path) => match JsonlSink::create(path) {
-            Ok(sink) => Some(sink),
-            Err(e) => {
-                writeln!(
-                    out,
-                    "warning: cannot open trace file {path}: {e}; continuing without a trace"
-                )?;
-                None
-            }
-        },
-        None => None,
-    };
-    let mut null = NullSink;
-    let want_metrics = args.flag("metrics");
-    let want_trace = jsonl.is_some();
-    let mut fan = FanoutSink::new();
-    if want_metrics {
-        fan.add(&mut memory);
-    }
-    if let Some(sink) = jsonl.as_mut() {
-        fan.add(sink);
-    }
-    let sink: &mut dyn EventSink = if want_metrics || want_trace {
-        &mut fan
-    } else {
-        &mut null
-    };
-    let outcome = pipeline.append_traced(base, &rows, sink)?;
-    drop(fan);
-    if let Some(sink) = jsonl {
-        let path = args.opt("trace-out").unwrap_or_default();
-        let written = sink.events_written();
-        match sink.into_inner() {
-            Ok(_) => writeln!(out, "wrote {written} trace events to {path}")?,
-            Err(e) => writeln!(
-                out,
-                "warning: trace file {path} is incomplete: {e}; imputation unaffected"
-            )?,
-        }
-    }
-    if want_metrics {
-        write_metrics(&memory, out)?;
-    }
+    let pipeline = training_pipeline(args)?;
+    let outcome = with_run_sink(args, out, |sink| {
+        Ok(pipeline.append_traced(base, &rows, sink)?)
+    })?;
 
     let mut how = outcome.path.label().to_string();
     if outcome.replayed {
@@ -854,7 +786,6 @@ fn cmd_append(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
             "append is only supported by the grimp variants, not {algo_name:?}"
         )));
     }
-    let seed = args.opt_parse("seed", 0u64)?;
     writeln!(
         out,
         "{}: {} rows x {} cols — appending rows from {}",
@@ -864,7 +795,7 @@ fn cmd_append(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
         rows_path
     )?;
     let start = std::time::Instant::now();
-    let (imputed, code) = append_grimp(algo_name, seed, args, &base, rows_path, out)?;
+    let (imputed, code) = append_grimp(args, &base, rows_path, out)?;
     writeln!(
         out,
         "done in {:.2}s; {} cells remain missing",
@@ -1035,42 +966,6 @@ fn cmd_generate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     save(&d.table, args.opt("o"), out)
 }
 
-/// Build the pipeline whose configuration must match the fit that wrote
-/// the served checkpoint. Only options that determine the model's
-/// *structure* (variant, seed, paper preset, backend) are honored here —
-/// serve-level flags like `--memory-budget-mb` govern admission, and must
-/// never change the shapes the checkpoint was written with.
-fn build_serve_pipeline(args: &Args) -> Result<Pipeline, CliError> {
-    let seed = args.opt_parse("seed", 0u64)?;
-    let name = args.opt("algo").unwrap_or("grimp");
-    let base = if args.flag("paper") {
-        GrimpConfig::paper()
-    } else {
-        GrimpConfig::fast()
-    };
-    let mut builder = GrimpConfigBuilder::from_config(base).seed(seed);
-    builder = match name {
-        "grimp" => builder,
-        "grimp-e" => builder.features(FeatureSource::Embdi),
-        "grimp-linear" => builder.task_kind(TaskKind::Linear),
-        other => {
-            return Err(CliError::config(format!(
-                "unknown algorithm {other:?} (serve supports the grimp variants)"
-            )))
-        }
-    };
-    if let Some(raw) = args.opt("threads") {
-        let threads: usize = raw
-            .parse()
-            .map_err(|_| CliError::config(format!("--threads {raw}: cannot parse value")))?;
-        builder = builder.backend(BackendKind::Parallel { threads });
-    }
-    let config = builder
-        .build()
-        .map_err(|e| CliError::config(e.to_string()))?;
-    Pipeline::new(config).map_err(|e| CliError::config(e.to_string()))
-}
-
 /// Parse the serving bounds from the CLI flags, rejecting degenerate
 /// values (`0` deadlines, `0` budgets) with typed configuration errors.
 fn build_serve_config(args: &Args) -> Result<grimp_serve::ServeConfig, CliError> {
@@ -1183,7 +1078,10 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
     let ckpt_dir = args.opt("checkpoint-dir").ok_or_else(|| {
         CliError::config("serve requires --checkpoint-dir DIR (where a fit wrote its checkpoint)")
     })?;
-    let pipeline = build_serve_pipeline(args)?;
+    // Only the structural options apply: serve-level flags like
+    // `--memory-budget-mb` govern admission, and must never change the
+    // shapes the checkpoint was written with.
+    let pipeline = new_pipeline(structural_config(args)?)?;
     let cfg = build_serve_config(args)?;
     let workers = cfg.workers;
 
@@ -1241,6 +1139,16 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
     Ok(code)
 }
 
+/// The chaos suite's model: `fast()` with `seed`, trained `epochs` epochs.
+fn chaos_config(seed: u64, epochs: usize) -> GrimpConfig {
+    GrimpConfig {
+        seed,
+        max_epochs: epochs,
+        patience: epochs,
+        ..GrimpConfig::fast()
+    }
+}
+
 /// Run the adversarial-input chaos suite against the real pipeline.
 fn cmd_chaos(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     args.check_known(&["seed", "crashpoints"])?;
@@ -1258,13 +1166,7 @@ fn cmd_chaos(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         writeln!(out, "chaos: every crashpoint recovered")?;
         return Ok(());
     }
-    let config = GrimpConfigBuilder::from_config(GrimpConfig::fast())
-        .seed(seed)
-        .max_epochs(6)
-        .patience(6)
-        .build()
-        .map_err(|e| CliError::config(e.to_string()))?;
-    let pipeline = Pipeline::new(config).map_err(|e| CliError::config(e.to_string()))?;
+    let pipeline = new_pipeline(chaos_config(seed, 6))?;
     let mut failures = 0usize;
     for s in grimp_table::adversarial::scenarios() {
         let verdict = match pipeline.fit(&s.table) {
@@ -1310,18 +1212,11 @@ fn cmd_chaos(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             IoFaultKind::Transient => IoFaultPlan::transient(2),
             other => IoFaultPlan::persistent(other),
         };
-        let config = GrimpConfigBuilder::from_config(GrimpConfig::fast())
-            .seed(seed)
-            .max_epochs(3)
-            .patience(3)
-            .checkpointing(CheckpointPolicy {
-                dir: Some(dir.clone()),
-                ..Default::default()
-            })
-            .io_fault(Some(plan))
-            .build()
-            .map_err(|e| CliError::config(e.to_string()))?;
-        let pipeline = Pipeline::new(config).map_err(|e| CliError::config(e.to_string()))?;
+        let pipeline = new_pipeline(GrimpConfig {
+            checkpoint_dir: Some(dir.clone()),
+            io_fault: Some(plan),
+            ..chaos_config(seed, 3)
+        })?;
         let verdict = match pipeline.fit(&small) {
             Ok(fitted) => {
                 let left = fitted.impute(&small)?.n_missing();
@@ -1345,15 +1240,11 @@ fn cmd_chaos(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // Deadline scenario: an already-expired wall-clock budget must stop
     // training before the first epoch and still fill every cell from the
     // degradation ladder.
-    let config = GrimpConfigBuilder::from_config(GrimpConfig::fast())
-        .seed(seed)
-        .limits(ResourceLimits {
-            deadline_secs: Some(1e-9),
-            memory_budget_mb: None,
-        })
-        .build()
-        .map_err(|e| CliError::config(e.to_string()))?;
-    let pipeline = Pipeline::new(config).map_err(|e| CliError::config(e.to_string()))?;
+    let pipeline = new_pipeline(GrimpConfig {
+        seed,
+        deadline_secs: Some(1e-9),
+        ..GrimpConfig::fast()
+    })?;
     let verdict = match pipeline.fit(&small) {
         Ok(fitted) => {
             let left = fitted.impute(&small)?.n_missing();
@@ -1375,14 +1266,10 @@ fn cmd_chaos(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // Parallel-backend crossing: the adversarial scenarios again, but on
     // the fixed-partition thread pool. Chaos inputs must not depend on a
     // backend — the contract holds for every reduction strategy.
-    let config = GrimpConfigBuilder::from_config(GrimpConfig::fast())
-        .seed(seed)
-        .max_epochs(3)
-        .patience(3)
-        .backend(BackendKind::Parallel { threads: 2 })
-        .build()
-        .map_err(|e| CliError::config(e.to_string()))?;
-    let pipeline = Pipeline::new(config).map_err(|e| CliError::config(e.to_string()))?;
+    let pipeline = new_pipeline(GrimpConfig {
+        backend: BackendKind::Parallel { threads: 2 },
+        ..chaos_config(seed, 3)
+    })?;
     for s in grimp_table::adversarial::scenarios() {
         let verdict = match pipeline.fit(&s.table) {
             Ok(fitted) => {
@@ -1405,17 +1292,13 @@ fn cmd_chaos(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // Sampled-training crossing: the adversarial scenarios once more with
     // neighbor-sampled mini-batches. Degenerate tables (single rows,
     // all-missing columns, huge domains) must survive sampling too.
-    let config = GrimpConfigBuilder::from_config(GrimpConfig::fast())
-        .seed(seed)
-        .max_epochs(3)
-        .patience(3)
-        .sampler(SamplerConfig {
+    let pipeline = new_pipeline(GrimpConfig {
+        sampler: Some(SamplerConfig {
             batch_rows: 4,
             fanout: 2,
-        })
-        .build()
-        .map_err(|e| CliError::config(e.to_string()))?;
-    let pipeline = Pipeline::new(config).map_err(|e| CliError::config(e.to_string()))?;
+        }),
+        ..chaos_config(seed, 3)
+    })?;
     for s in grimp_table::adversarial::scenarios() {
         let verdict = match pipeline.fit(&s.table) {
             Ok(fitted) => {
@@ -1472,30 +1355,19 @@ fn chaos_append(out: &mut dyn Write, small: &Table, seed: u64) -> Result<usize, 
                  backend: Option<BackendKind>,
                  shutdown: Option<ShutdownFlag>|
      -> Result<Pipeline, CliError> {
-        let mut builder = GrimpConfigBuilder::from_config(GrimpConfig::fast())
-            .seed(seed)
-            .max_epochs(3)
-            .patience(3)
-            .checkpointing(CheckpointPolicy {
-                dir: Some(dir.to_path_buf()),
-                every: 1,
-                ..Default::default()
-            })
-            .finetune(FinetuneConfig {
+        let preset = chaos_config(seed, 3);
+        new_pipeline(GrimpConfig {
+            checkpoint_dir: Some(dir.to_path_buf()),
+            checkpoint_every: 1,
+            finetune: FinetuneConfig {
                 epochs: 2,
                 drift_band: 0.25,
-            })
-            .io_fault(fault);
-        if let Some(backend) = backend {
-            builder = builder.backend(backend);
-        }
-        if let Some(flag) = shutdown {
-            builder = builder.shutdown(flag);
-        }
-        let config = builder
-            .build()
-            .map_err(|e| CliError::config(e.to_string()))?;
-        Pipeline::new(config).map_err(|e| CliError::config(e.to_string()))
+            },
+            io_fault: fault,
+            backend: backend.unwrap_or(preset.backend),
+            shutdown,
+            ..preset
+        })
     };
 
     // Fault matrix: fit clean, then append under the poisoned fs. The
@@ -1704,28 +1576,19 @@ fn chaos_serve(out: &mut dyn Write, small: &Table, seed: u64) -> Result<usize, C
     let serve_dir =
         std::env::temp_dir().join(format!("grimp-chaos-serve-{}-{seed}", std::process::id()));
     std::fs::create_dir_all(&serve_dir)?;
-    let fit_config = GrimpConfigBuilder::from_config(GrimpConfig::fast())
-        .seed(seed)
-        .max_epochs(3)
-        .patience(3)
-        .checkpointing(CheckpointPolicy {
-            dir: Some(serve_dir.clone()),
-            ..Default::default()
-        })
-        .build()
-        .map_err(|e| CliError::config(e.to_string()))?;
-    Pipeline::new(fit_config)
-        .map_err(|e| CliError::config(e.to_string()))?
-        .fit(small)?;
+    new_pipeline(GrimpConfig {
+        checkpoint_dir: Some(serve_dir.clone()),
+        ..chaos_config(seed, 3)
+    })?
+    .fit(small)?;
 
     // The serving pipeline carries the same structure but no checkpoint
     // directory of its own — the server restores from the rotated file.
-    let serving = || -> Result<Pipeline, CliError> {
-        let config = GrimpConfigBuilder::from_config(GrimpConfig::fast())
-            .seed(seed)
-            .build()
-            .map_err(|e| CliError::config(e.to_string()))?;
-        Pipeline::new(config).map_err(|e| CliError::config(e.to_string()))
+    let serving = || {
+        new_pipeline(GrimpConfig {
+            seed,
+            ..GrimpConfig::fast()
+        })
     };
     // Large enough that the head arrives in the first socket read but the
     // body needs more — which is exactly when the read faults fire.
@@ -1903,20 +1766,13 @@ fn run_crashpoint_scenario(exe: &std::path::Path, point: &str, seed: u64) -> Res
     let ckpt_dir = root.join("ckpt");
     std::fs::create_dir_all(&ckpt_dir).map_err(|e| e.to_string())?;
     let table = grimp_table::csv::read_csv_str(csv).map_err(|e| e.to_string())?;
-    let config = GrimpConfigBuilder::from_config(GrimpConfig::fast())
-        .seed(seed)
-        .max_epochs(3)
-        .patience(3)
-        .checkpointing(CheckpointPolicy {
-            dir: Some(ckpt_dir.clone()),
-            ..Default::default()
-        })
-        .build()
-        .map_err(|e| e.to_string())?;
-    Pipeline::new(config)
-        .map_err(|e| e.to_string())?
-        .fit(&table)
-        .map_err(|e| format!("base fit: {e}"))?;
+    Pipeline::new(GrimpConfig {
+        checkpoint_dir: Some(ckpt_dir.clone()),
+        ..chaos_config(seed, 3)
+    })
+    .map_err(|e| e.to_string())?
+    .fit(&table)
+    .map_err(|e| format!("base fit: {e}"))?;
 
     // The arm file makes the abort one-shot: the armed process consumes it
     // at the boundary, so the respawned child (same env) runs clean.

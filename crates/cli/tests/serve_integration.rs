@@ -10,7 +10,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use grimp::{CheckpointPolicy, GrimpConfig, GrimpConfigBuilder, Pipeline};
+use grimp::{GrimpConfig, Pipeline, TaskKind};
+use grimp_graph::FeatureSource;
 use grimp_serve::client;
 
 /// Fit a small model into a fresh temp dir; returns the training CSV path
@@ -32,16 +33,13 @@ fn fit_checkpoint(name: &str, seed: u64) -> (PathBuf, PathBuf) {
 fn fit_into(train_csv: &Path, dir: &Path, seed: u64) {
     let table =
         grimp_table::csv::read_csv_str(&std::fs::read_to_string(train_csv).unwrap()).unwrap();
-    let config = GrimpConfigBuilder::from_config(GrimpConfig::fast())
-        .seed(seed)
-        .max_epochs(3)
-        .patience(3)
-        .checkpointing(CheckpointPolicy {
-            dir: Some(dir.to_path_buf()),
-            ..Default::default()
-        })
-        .build()
-        .unwrap();
+    let config = GrimpConfig {
+        seed,
+        max_epochs: 3,
+        patience: 3,
+        checkpoint_dir: Some(dir.to_path_buf()),
+        ..GrimpConfig::fast()
+    };
     Pipeline::new(config).unwrap().fit(&table).unwrap();
 }
 
@@ -392,6 +390,92 @@ fn serves_http_imputation_and_drains_clean_on_sigterm() {
     let names: Vec<&str> = replay.events.iter().map(|e| e.name).collect();
     for expected in ["request", "request_outcome", "drain_begin", "drain_end"] {
         assert!(names.contains(&expected), "missing {expected}: {names:?}");
+    }
+}
+
+/// Byte-for-byte equality of two CSVs, printing both on a mismatch.
+fn assert_same_csv(got: &[u8], want: &[u8], what: &str) {
+    assert!(
+        got == want,
+        "{what} disagree:\n{}\nvs\n{}",
+        String::from_utf8_lossy(got),
+        String::from_utf8_lossy(want)
+    );
+}
+
+/// The CLI, `grimp serve` and `Pipeline` give one answer for the same
+/// evidence. For each grimp variant, `grimp impute` of the training table
+/// (which writes the checkpoint), the server's `/impute` of that table
+/// (restored from the checkpoint, with the same flags), and an in-process
+/// `Pipeline::fit` + `impute` over the documented struct-literal config
+/// produce the same CSV bytes.
+#[test]
+fn cli_serve_and_pipeline_impute_the_training_table_identically() {
+    const SEED: u64 = 3;
+    let csv = "city,country,pop\nParis,France,2.1\nRome,Italy,2.8\nParis,,2.1\nRome,,\n\
+               Paris,France,\nMadrid,Spain,3.3\nMadrid,,3.3\n,Italy,2.8\n";
+    let table = grimp_table::csv::read_csv_str(csv).unwrap();
+    let variants = [
+        ("grimp", GrimpConfig::fast()),
+        (
+            "grimp-e",
+            GrimpConfig {
+                features: FeatureSource::Embdi,
+                ..GrimpConfig::fast()
+            },
+        ),
+        (
+            "grimp-linear",
+            GrimpConfig {
+                task_kind: TaskKind::Linear,
+                ..GrimpConfig::fast()
+            },
+        ),
+    ];
+    for (algo, preset) in variants {
+        let root = std::env::temp_dir().join(format!(
+            "grimp-serve-it-agree-{algo}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).unwrap();
+        let train_csv = root.join("train.csv");
+        std::fs::write(&train_csv, csv).unwrap();
+        let ckpt_dir = root.join("ckpt");
+        let cli_csv = root.join("cli.csv");
+        let seed = SEED.to_string();
+        let flags = ["--algo", algo, "--seed", seed.as_str()];
+
+        let out = Command::new(env!("CARGO_BIN_EXE_grimp"))
+            .arg("impute")
+            .arg(&train_csv)
+            .args(flags)
+            .arg("--checkpoint-dir")
+            .arg(&ckpt_dir)
+            .arg("-o")
+            .arg(&cli_csv)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "{algo}: {out:?}");
+        let cli = std::fs::read(&cli_csv).unwrap();
+
+        let server = ServeChild::spawn(&train_csv, &ckpt_dir, &flags, &[]);
+        let resp = client::impute(&server.addr, csv).unwrap();
+        let (code, rest) = server.stop("TERM");
+        assert_eq!(code, 0, "{algo}: {rest}");
+        assert_eq!(resp.status, 200, "{algo}: {resp:?}");
+        assert_same_csv(&resp.body, &cli, &format!("{algo}: serve vs impute"));
+
+        let config = GrimpConfig {
+            seed: SEED,
+            ..preset
+        };
+        let fitted = Pipeline::new(config).unwrap().fit(&table).unwrap();
+        let imputed = fitted.impute(&table).unwrap();
+        assert_eq!(imputed.n_missing(), 0, "{algo}");
+        let bytes = grimp_table::csv::to_csv_bytes(&imputed);
+        assert_same_csv(&bytes, &cli, &format!("{algo}: Pipeline vs impute"));
+        let _ = std::fs::remove_dir_all(&root);
     }
 }
 

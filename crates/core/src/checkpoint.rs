@@ -1,4 +1,5 @@
-//! Versioned binary training checkpoints for [`crate::Grimp::fit_impute`].
+//! Versioned binary training checkpoints for [`crate::Pipeline::fit`] (and
+//! the [`crate::Pipeline::restore`] of a served model).
 //!
 //! A [`TrainCheckpoint`] captures everything the training loop needs to
 //! resume bit-exactly after a kill: the epoch counter, current learning rate

@@ -43,10 +43,7 @@ pub enum CategoricalLoss {
 /// a graph whose per-node neighbor lists are capped at `fanout`, so peak
 /// task-activation memory scales with the batch instead of the table.
 /// `None` (the default) keeps full-batch training, bit-identical to
-/// earlier releases.
-///
-/// The first grouped sub-config of the builder redesign:
-/// `GrimpConfig::builder().sampler(SamplerConfig { batch_rows, fanout })`.
+/// earlier releases. Set it as [`GrimpConfig::sampler`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SamplerConfig {
     /// Training samples drawn per task per epoch (CLI `--batch-rows`).
@@ -70,7 +67,7 @@ impl Default for SamplerConfig {
 impl SamplerConfig {
     /// Field-range checks owned by this sub-config (cross-field checks
     /// against the rest of the configuration live in
-    /// [`GrimpConfig::validate`]).
+    /// [`GrimpConfig::validate`], which runs these too).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.batch_rows == 0 {
             return Err(ConfigError::ZeroBatchRows);
@@ -82,8 +79,8 @@ impl SamplerConfig {
     }
 }
 
-/// Warm-start fine-tuning policy for appended rows, grouped for the
-/// builder: `GrimpConfig::builder().finetune(FinetuneConfig { .. })`.
+/// Warm-start fine-tuning policy for appended rows, set as
+/// [`GrimpConfig::finetune`].
 ///
 /// An append replays the WAL delta onto the existing checkpoint and trains
 /// at most `epochs` additional epochs (training batches restricted to the
@@ -126,72 +123,35 @@ impl FinetuneConfig {
     }
 }
 
-/// Resource-governance bounds, grouped for the builder:
-/// `GrimpConfig::builder().limits(ResourceLimits { .. })`.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ResourceLimits {
-    /// Wall-clock training budget in seconds (`None` disables it); see
-    /// [`GrimpConfig::deadline_secs`].
-    pub deadline_secs: Option<f64>,
-    /// Memory budget in MiB for admission-time downscaling (`None`
-    /// disables it); see [`GrimpConfig::memory_budget_mb`].
-    pub memory_budget_mb: Option<usize>,
-}
-
-impl ResourceLimits {
-    /// Field-range checks owned by this sub-config.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if let Some(deadline) = self.deadline_secs {
-            if !(deadline.is_finite() && deadline > 0.0) {
-                return Err(ConfigError::InvalidDeadline(deadline));
-            }
-        }
-        if self.memory_budget_mb == Some(0) {
-            return Err(ConfigError::ZeroMemoryBudget);
-        }
-        Ok(())
-    }
-}
-
-/// Checkpointing and recovery policy, grouped for the builder:
-/// `GrimpConfig::builder().checkpointing(CheckpointPolicy { .. })`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CheckpointPolicy {
-    /// Directory for the training checkpoint file; see
-    /// [`GrimpConfig::checkpoint_dir`].
-    pub dir: Option<std::path::PathBuf>,
-    /// Write a checkpoint every this many completed epochs; see
-    /// [`GrimpConfig::checkpoint_every`].
-    pub every: usize,
-    /// Resume from an existing checkpoint in `dir`; see
-    /// [`GrimpConfig::resume`].
-    pub resume: bool,
-    /// Divergence-recovery budget; see [`GrimpConfig::max_recoveries`].
-    pub max_recoveries: usize,
-}
-
-impl Default for CheckpointPolicy {
-    fn default() -> Self {
-        CheckpointPolicy {
-            dir: None,
-            every: 1,
-            resume: false,
-            max_recoveries: 2,
-        }
-    }
-}
-
-impl CheckpointPolicy {
-    /// Cross-field checks owned by this sub-config.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.resume && self.dir.is_none() {
-            return Err(ConfigError::ResumeWithoutCheckpointDir);
-        }
-        Ok(())
-    }
-}
-
 /// Full configuration of a GRIMP model.
+///
+/// Every field is public. Write a configuration as a struct literal over
+/// one of the two presets, [`GrimpConfig::paper`] or [`GrimpConfig::fast`],
+/// and hand it to [`crate::Pipeline::new`], which validates it:
+///
+/// ```
+/// use grimp::{GrimpConfig, Pipeline, SamplerConfig};
+///
+/// let config = GrimpConfig {
+///     seed: 7,
+///     max_epochs: 50,
+///     lr: 1e-2,
+///     sampler: Some(SamplerConfig {
+///         batch_rows: 2048,
+///         fanout: 8,
+///     }),
+///     memory_budget_mb: Some(512),
+///     ..GrimpConfig::paper()
+/// };
+/// let pipeline = Pipeline::new(config).expect("valid config");
+/// assert_eq!(pipeline.config().sampler.unwrap().batch_rows, 2048);
+///
+/// let bad = GrimpConfig {
+///     max_epochs: 0,
+///     ..GrimpConfig::fast()
+/// };
+/// assert!(Pipeline::new(bad).is_err());
+/// ```
 #[derive(Clone, Debug)]
 pub struct GrimpConfig {
     /// Pre-trained feature strategy (GRIMP-FT / GRIMP-E / random).
@@ -369,78 +329,9 @@ impl GrimpConfig {
         }
     }
 
-    /// Switch to linear task heads.
-    pub fn with_linear_tasks(mut self) -> Self {
-        self.task_kind = TaskKind::Linear;
-        self
-    }
-
-    /// Switch the feature source.
-    pub fn with_features(mut self, source: FeatureSource) -> Self {
-        self.features = source;
-        self
-    }
-
-    /// Switch the `K` strategy.
-    pub fn with_k_strategy(mut self, k: KStrategy) -> Self {
-        self.k_strategy = k;
-        self
-    }
-
-    /// Set the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Enable disk checkpointing into `dir` (written every
-    /// [`GrimpConfig::checkpoint_every`] epochs).
-    pub fn with_checkpoint_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.checkpoint_dir = Some(dir.into());
-        self
-    }
-
-    /// Resume from an existing checkpoint in the checkpoint dir.
-    pub fn with_resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
-        self
-    }
-
-    /// A checked builder seeded from [`GrimpConfig::paper`]. Unlike the
-    /// `with_*` shortcuts, [`GrimpConfigBuilder::build`] validates field
-    /// ranges *and* cross-field consistency (e.g. resume without a
-    /// checkpoint dir), returning a [`ConfigError`] instead of failing
-    /// deep inside training.
-    pub fn builder() -> GrimpConfigBuilder {
-        GrimpConfigBuilder {
-            config: GrimpConfig::paper(),
-        }
-    }
-
-    /// The grouped view of this configuration's resource bounds (the
-    /// fields `.limits(..)` writes).
-    pub fn limits(&self) -> ResourceLimits {
-        ResourceLimits {
-            deadline_secs: self.deadline_secs,
-            memory_budget_mb: self.memory_budget_mb,
-        }
-    }
-
-    /// The grouped view of this configuration's checkpointing policy (the
-    /// fields `.checkpointing(..)` writes).
-    pub fn checkpointing(&self) -> CheckpointPolicy {
-        CheckpointPolicy {
-            dir: self.checkpoint_dir.clone(),
-            every: self.checkpoint_every,
-            resume: self.resume,
-            max_recoveries: self.max_recoveries,
-        }
-    }
-
     /// Check the configuration for values that would make training panic,
     /// loop forever, or silently do nothing, and for combinations a user
-    /// should not set. [`crate::Pipeline::new`] and
-    /// [`GrimpConfigBuilder::build`] run this for you. It is
+    /// should not set. [`crate::Pipeline::new`] runs this for you. It is
     /// [`GrimpConfig::validate_fit`] plus the cross-section policy checks.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.validate_fit()?;
@@ -456,14 +347,16 @@ impl GrimpConfig {
     }
 
     /// The range checks every fit needs: values that would make training
-    /// panic, loop forever, or silently do nothing. Sub-config checks live
-    /// on the sub-configs themselves ([`SamplerConfig::validate`],
-    /// [`ResourceLimits::validate`], [`CheckpointPolicy::validate`]); this
-    /// method runs them all. Every fit entry point runs it
-    /// ([`crate::Grimp::fit_impute`], [`crate::GnnMc::fit_impute`],
+    /// panic, loop forever, or silently do nothing. The nested sub-configs
+    /// check their own fields ([`SamplerConfig::validate`],
+    /// [`FinetuneConfig::validate`]); this method runs them too. Every fit
+    /// entry point runs it ([`crate::Pipeline::new`] through
+    /// [`GrimpConfig::validate`]; [`crate::GnnMc::fit_impute`] and
     /// [`crate::FederatedGrimp::fit_impute`] panic on a failure).
     pub fn validate_fit(&self) -> Result<(), ConfigError> {
-        self.checkpointing().validate()?;
+        if self.resume && self.checkpoint_dir.is_none() {
+            return Err(ConfigError::ResumeWithoutCheckpointDir);
+        }
         for (name, dim) in [
             ("feature_dim", self.feature_dim),
             ("gnn.hidden", self.gnn.hidden),
@@ -501,7 +394,14 @@ impl GrimpConfig {
         if self.max_train_samples_per_task == Some(0) {
             return Err(ConfigError::ZeroSampleCap);
         }
-        self.limits().validate()?;
+        if let Some(deadline) = self.deadline_secs {
+            if !(deadline.is_finite() && deadline > 0.0) {
+                return Err(ConfigError::InvalidDeadline(deadline));
+            }
+        }
+        if self.memory_budget_mb == Some(0) {
+            return Err(ConfigError::ZeroMemoryBudget);
+        }
         self.finetune.validate()?;
         if self.backend.threads() == 0 {
             return Err(ConfigError::ZeroThreads);
@@ -513,8 +413,8 @@ impl GrimpConfig {
     }
 }
 
-/// Why a [`GrimpConfigBuilder`] (or [`GrimpConfig::validate`]) rejected a
-/// configuration.
+/// Why [`GrimpConfig::validate`] (and so [`crate::Pipeline::new`])
+/// rejected a configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
     /// `resume` is set but there is no `checkpoint_dir` to resume from.
@@ -619,192 +519,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Typed, validating builder for [`GrimpConfig`] (start from
-/// [`GrimpConfig::builder`]).
-///
-/// Governance and persistence options are set through grouped
-/// sub-configs — [`SamplerConfig`], [`ResourceLimits`],
-/// [`CheckpointPolicy`] — rather than one flat setter per field.
-///
-/// ```
-/// use grimp::{GrimpConfig, ResourceLimits, SamplerConfig};
-/// let config = GrimpConfig::builder()
-///     .seed(7)
-///     .max_epochs(50)
-///     .learning_rate(1e-2)
-///     .sampler(SamplerConfig {
-///         batch_rows: 2048,
-///         fanout: 8,
-///     })
-///     .limits(ResourceLimits {
-///         memory_budget_mb: Some(512),
-///         ..Default::default()
-///     })
-///     .build()
-///     .expect("valid config");
-/// assert_eq!(config.seed, 7);
-/// assert_eq!(config.sampler.unwrap().batch_rows, 2048);
-/// ```
-#[derive(Clone, Debug)]
-pub struct GrimpConfigBuilder {
-    config: GrimpConfig,
-}
-
-impl GrimpConfigBuilder {
-    /// Start from an existing configuration instead of the paper defaults.
-    pub fn from_config(config: GrimpConfig) -> Self {
-        GrimpConfigBuilder { config }
-    }
-
-    /// Pre-trained feature strategy.
-    pub fn features(mut self, source: FeatureSource) -> Self {
-        self.config.features = source;
-        self
-    }
-
-    /// Pre-trained feature dimensionality.
-    pub fn feature_dim(mut self, dim: usize) -> Self {
-        self.config.feature_dim = dim;
-        self
-    }
-
-    /// GNN shape.
-    pub fn gnn(mut self, gnn: GnnConfig) -> Self {
-        self.config.gnn = gnn;
-        self
-    }
-
-    /// Hidden width of the shared merge step.
-    pub fn merge_hidden(mut self, width: usize) -> Self {
-        self.config.merge_hidden = width;
-        self
-    }
-
-    /// Per-column slot width `D` of the training vectors.
-    pub fn embed_dim(mut self, dim: usize) -> Self {
-        self.config.embed_dim = dim;
-        self
-    }
-
-    /// Task head kind.
-    pub fn task_kind(mut self, kind: TaskKind) -> Self {
-        self.config.task_kind = kind;
-        self
-    }
-
-    /// Attention `K` strategy.
-    pub fn k_strategy(mut self, k: KStrategy) -> Self {
-        self.config.k_strategy = k;
-        self
-    }
-
-    /// Categorical loss.
-    pub fn categorical_loss(mut self, loss: CategoricalLoss) -> Self {
-        self.config.categorical_loss = loss;
-        self
-    }
-
-    /// Maximum training epochs.
-    pub fn max_epochs(mut self, epochs: usize) -> Self {
-        self.config.max_epochs = epochs;
-        self
-    }
-
-    /// Early-stopping patience in epochs.
-    pub fn patience(mut self, patience: usize) -> Self {
-        self.config.patience = patience;
-        self
-    }
-
-    /// Adam learning rate.
-    pub fn learning_rate(mut self, lr: f32) -> Self {
-        self.config.lr = lr;
-        self
-    }
-
-    /// Validation holdout fraction.
-    pub fn validation_fraction(mut self, fraction: f64) -> Self {
-        self.config.validation_fraction = fraction;
-        self
-    }
-
-    /// Cap on training samples per task per epoch.
-    pub fn max_train_samples_per_task(mut self, cap: Option<usize>) -> Self {
-        self.config.max_train_samples_per_task = cap;
-        self
-    }
-
-    /// Neighbor-sampled mini-batch training (grouped sub-config). The
-    /// default configuration trains full-batch; setting a sampler bounds
-    /// peak memory by `batch_rows`/`fanout` instead of the table size.
-    pub fn sampler(mut self, sampler: SamplerConfig) -> Self {
-        self.config.sampler = Some(sampler);
-        self
-    }
-
-    /// Warm-start fine-tuning policy for appended rows (grouped
-    /// sub-config): extra-epoch bound and drift band.
-    pub fn finetune(mut self, finetune: FinetuneConfig) -> Self {
-        self.config.finetune = finetune;
-        self
-    }
-
-    /// Resource-governance bounds (grouped sub-config): wall-clock
-    /// deadline and admission-time memory budget.
-    pub fn limits(mut self, limits: ResourceLimits) -> Self {
-        self.config.deadline_secs = limits.deadline_secs;
-        self.config.memory_budget_mb = limits.memory_budget_mb;
-        self
-    }
-
-    /// Checkpointing and recovery policy (grouped sub-config): directory,
-    /// cadence, resume, and the divergence-recovery budget.
-    pub fn checkpointing(mut self, policy: CheckpointPolicy) -> Self {
-        self.config.checkpoint_dir = policy.dir;
-        self.config.checkpoint_every = policy.every;
-        self.config.resume = policy.resume;
-        self.config.max_recoveries = policy.max_recoveries;
-        self
-    }
-
-    /// Seed for every stochastic component.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Kernel execution backend for the training hot path (bit-identical
-    /// across backends; only wall-clock time changes).
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.config.backend = backend;
-        self
-    }
-
-    /// Global gradient-norm clip threshold (`None` disables clipping).
-    pub fn max_grad_norm(mut self, max: Option<f32>) -> Self {
-        self.config.max_grad_norm = max;
-        self
-    }
-
-    /// Cooperative shutdown flag checked at epoch boundaries.
-    pub fn shutdown(mut self, flag: crate::ShutdownFlag) -> Self {
-        self.config.shutdown = Some(flag);
-        self
-    }
-
-    /// Deterministic IO fault plan for the durable-write path.
-    pub fn io_fault(mut self, plan: Option<grimp_obs::IoFaultPlan>) -> Self {
-        self.config.io_fault = plan;
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<GrimpConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -834,176 +548,188 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_builders_compose() {
-        let c = GrimpConfig::fast()
-            .with_checkpoint_dir("/tmp/ck")
-            .with_resume(true);
-        assert_eq!(
-            c.checkpoint_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/ck"))
-        );
-        assert!(c.resume);
-    }
-
-    #[test]
-    fn builder_accepts_a_sane_config_and_applies_setters() {
-        let c = GrimpConfig::builder()
-            .seed(9)
-            .task_kind(TaskKind::Linear)
-            .k_strategy(KStrategy::Diagonal)
-            .max_epochs(40)
-            .learning_rate(1e-2)
-            .checkpointing(CheckpointPolicy {
-                dir: Some("/tmp/ck".into()),
-                resume: true,
-                ..Default::default()
-            })
-            .build()
-            .unwrap();
-        assert_eq!(c.seed, 9);
-        assert_eq!(c.task_kind, TaskKind::Linear);
-        assert_eq!(c.k_strategy, KStrategy::Diagonal);
-        assert_eq!(c.max_epochs, 40);
-        assert!(c.resume);
-    }
-
-    #[test]
-    fn builder_rejects_resume_without_checkpoint_dir() {
-        let err = GrimpConfig::builder()
-            .checkpointing(CheckpointPolicy {
-                resume: true,
-                ..Default::default()
-            })
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ResumeWithoutCheckpointDir);
-        assert!(err.to_string().contains("--checkpoint-dir"));
-    }
-
-    #[test]
-    fn a_zero_neighbor_cap_is_a_config_error() {
-        let capped = |cap| GrimpConfig {
-            gnn: GnnConfig {
-                neighbor_cap: Some(cap),
-                ..GnnConfig::default()
-            },
-            ..GrimpConfig::paper()
-        };
-        assert_eq!(capped(0).validate(), Err(ConfigError::ZeroNeighborCap));
-        assert_eq!(
-            GrimpConfig::builder()
-                .gnn(capped(0).gnn)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroNeighborCap
-        );
-        assert!(capped(1).validate().is_ok());
-    }
-
-    #[test]
-    fn builder_rejects_degenerate_values() {
-        assert_eq!(
-            GrimpConfig::builder().embed_dim(0).build().unwrap_err(),
-            ConfigError::ZeroDim("embed_dim")
-        );
-        assert!(matches!(
-            GrimpConfig::builder().learning_rate(0.0).build(),
-            Err(ConfigError::NonPositiveLearningRate(_))
-        ));
-        assert!(matches!(
-            GrimpConfig::builder().learning_rate(f32::NAN).build(),
-            Err(ConfigError::NonPositiveLearningRate(_))
-        ));
-        assert!(matches!(
-            GrimpConfig::builder().validation_fraction(1.0).build(),
-            Err(ConfigError::InvalidValidationFraction(_))
-        ));
-        assert_eq!(
-            GrimpConfig::builder().max_epochs(0).build().unwrap_err(),
-            ConfigError::ZeroEpochs
-        );
-        assert_eq!(
-            GrimpConfig::builder().patience(0).build().unwrap_err(),
-            ConfigError::ZeroPatience
-        );
-        assert!(matches!(
-            GrimpConfig::builder()
-                .max_grad_norm(Some(-1.0))
-                .build()
-                .unwrap_err(),
-            ConfigError::InvalidGradClip(_)
-        ));
-        assert_eq!(
-            GrimpConfig::builder()
-                .backend(BackendKind::Parallel { threads: 0 })
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroThreads
-        );
-        assert!(GrimpConfig::builder()
-            .backend(BackendKind::Parallel { threads: 2 })
-            .build()
-            .is_ok());
-        assert_eq!(
-            GrimpConfig::builder()
-                .max_train_samples_per_task(Some(0))
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroSampleCap
-        );
-        assert!(matches!(
-            GrimpConfig::builder()
-                .limits(ResourceLimits {
-                    deadline_secs: Some(0.0),
-                    ..Default::default()
-                })
-                .build()
-                .unwrap_err(),
-            ConfigError::InvalidDeadline(_)
-        ));
-        assert!(matches!(
-            GrimpConfig::builder()
-                .limits(ResourceLimits {
-                    deadline_secs: Some(f64::NAN),
-                    ..Default::default()
-                })
-                .build()
-                .unwrap_err(),
-            ConfigError::InvalidDeadline(_)
-        ));
-        assert_eq!(
-            GrimpConfig::builder()
-                .limits(ResourceLimits {
-                    memory_budget_mb: Some(0),
-                    ..Default::default()
-                })
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroMemoryBudget
-        );
-    }
-
-    #[test]
-    fn governance_fields_default_off_and_compose() {
+    fn governance_fields_default_off() {
         let c = GrimpConfig::paper();
         assert!(c.deadline_secs.is_none());
         assert!(c.memory_budget_mb.is_none());
         assert!(c.shutdown.is_none());
         assert!(c.io_fault.is_none());
+    }
 
-        let flag = crate::ShutdownFlag::new();
-        let c = GrimpConfig::builder()
-            .limits(ResourceLimits {
-                deadline_secs: Some(12.5),
-                memory_budget_mb: Some(256),
-            })
-            .shutdown(flag.clone())
-            .build()
+    #[test]
+    fn default_configs_validate() {
+        GrimpConfig::paper().validate().unwrap();
+        GrimpConfig::fast().validate().unwrap();
+    }
+
+    #[test]
+    fn a_struct_literal_over_a_preset_sets_fields_and_validates() {
+        let c = GrimpConfig {
+            seed: 9,
+            task_kind: TaskKind::Linear,
+            k_strategy: KStrategy::Diagonal,
+            max_epochs: 40,
+            checkpoint_dir: Some("/tmp/ck".into()),
+            resume: true,
+            backend: BackendKind::Parallel { threads: 2 },
+            deadline_secs: Some(12.5),
+            memory_budget_mb: Some(256),
+            sampler: None,
+            ..GrimpConfig::fast()
+        };
+        c.validate().unwrap();
+        assert_eq!(c.max_train_samples_per_task, Some(1200), "fast() preset");
+        assert_eq!(c.seed, 9);
+        assert!(c.resume);
+    }
+
+    /// `fast()` with one field changed.
+    fn fast_with(f: impl FnOnce(&mut GrimpConfig)) -> GrimpConfig {
+        let mut c = GrimpConfig::fast();
+        f(&mut c);
+        c
+    }
+
+    #[test]
+    fn validate_rejects_each_degenerate_value_with_its_typed_error() {
+        let sampler = |batch_rows, fanout| Some(SamplerConfig { batch_rows, fanout });
+        let cases: Vec<(GrimpConfig, ConfigError)> = vec![
+            (
+                fast_with(|c| c.resume = true),
+                ConfigError::ResumeWithoutCheckpointDir,
+            ),
+            (
+                fast_with(|c| c.embed_dim = 0),
+                ConfigError::ZeroDim("embed_dim"),
+            ),
+            (
+                fast_with(|c| c.gnn.layers = 0),
+                ConfigError::ZeroDim("gnn.layers"),
+            ),
+            (
+                fast_with(|c| c.gnn.neighbor_cap = Some(0)),
+                ConfigError::ZeroNeighborCap,
+            ),
+            (
+                fast_with(|c| c.lr = 0.0),
+                ConfigError::NonPositiveLearningRate(0.0),
+            ),
+            (
+                fast_with(|c| c.validation_fraction = 1.0),
+                ConfigError::InvalidValidationFraction(1.0),
+            ),
+            (fast_with(|c| c.max_epochs = 0), ConfigError::ZeroEpochs),
+            (fast_with(|c| c.patience = 0), ConfigError::ZeroPatience),
+            (
+                fast_with(|c| c.max_grad_norm = Some(-1.0)),
+                ConfigError::InvalidGradClip(-1.0),
+            ),
+            (
+                fast_with(|c| c.max_train_samples_per_task = Some(0)),
+                ConfigError::ZeroSampleCap,
+            ),
+            (
+                fast_with(|c| c.deadline_secs = Some(0.0)),
+                ConfigError::InvalidDeadline(0.0),
+            ),
+            (
+                fast_with(|c| c.memory_budget_mb = Some(0)),
+                ConfigError::ZeroMemoryBudget,
+            ),
+            (
+                fast_with(|c| c.backend = BackendKind::Parallel { threads: 0 }),
+                ConfigError::ZeroThreads,
+            ),
+            (
+                fast_with(|c| c.sampler = sampler(0, 8)),
+                ConfigError::ZeroBatchRows,
+            ),
+            (
+                fast_with(|c| c.sampler = sampler(64, 0)),
+                ConfigError::ZeroFanout,
+            ),
+            (
+                fast_with(|c| {
+                    c.sampler = sampler(64, 8);
+                    c.checkpoint_dir = Some("/tmp/ck".into());
+                    c.resume = true;
+                }),
+                ConfigError::SamplerWithResume,
+            ),
+            (
+                fast_with(|c| c.finetune.epochs = 0),
+                ConfigError::ZeroFinetuneEpochs,
+            ),
+            (
+                fast_with(|c| c.finetune.drift_band = -0.5),
+                ConfigError::InvalidDriftBand(-0.5),
+            ),
+        ];
+        for (config, want) in cases {
+            assert_eq!(config.validate(), Err(want.clone()), "{want}");
+        }
+        // Non-finite values are rejected too (NaN never compares equal).
+        assert!(matches!(
+            fast_with(|c| c.lr = f32::NAN).validate(),
+            Err(ConfigError::NonPositiveLearningRate(_))
+        ));
+        assert!(matches!(
+            fast_with(|c| c.deadline_secs = Some(f64::NAN)).validate(),
+            Err(ConfigError::InvalidDeadline(_))
+        ));
+        assert!(matches!(
+            fast_with(|c| c.finetune.drift_band = f32::INFINITY).validate(),
+            Err(ConfigError::InvalidDriftBand(_))
+        ));
+    }
+
+    #[test]
+    fn validate_accepts_the_boundary_values() {
+        fast_with(|c| c.gnn.neighbor_cap = Some(1))
+            .validate()
             .unwrap();
-        assert_eq!(c.deadline_secs, Some(12.5));
-        assert_eq!(c.memory_budget_mb, Some(256));
-        flag.request();
-        assert!(c.shutdown.as_ref().unwrap().is_requested());
+        fast_with(|c| c.backend = BackendKind::Parallel { threads: 1 })
+            .validate()
+            .unwrap();
+        fast_with(|c| c.validation_fraction = 0.0)
+            .validate()
+            .unwrap();
+        fast_with(|c| c.finetune.drift_band = 0.0)
+            .validate()
+            .unwrap();
+        fast_with(|c| c.max_grad_norm = None).validate().unwrap();
+    }
+
+    #[test]
+    fn only_validate_rejects_a_sampled_resume() {
+        // The engine resumes sampled runs of its own, so the fit-time
+        // checks accept what the user-facing policy check refuses.
+        let c = fast_with(|c| {
+            c.sampler = Some(SamplerConfig::default());
+            c.checkpoint_dir = Some("/tmp/ck".into());
+            c.resume = true;
+        });
+        c.validate_fit().unwrap();
+        let err = c.validate().unwrap_err();
+        assert_eq!(err, ConfigError::SamplerWithResume);
+        assert!(err.to_string().contains("--resume"), "{err}");
+    }
+
+    #[test]
+    fn config_errors_name_the_cli_flag() {
+        for (err, flag) in [
+            (ConfigError::ResumeWithoutCheckpointDir, "--checkpoint-dir"),
+            (ConfigError::InvalidDeadline(0.0), "--deadline"),
+            (ConfigError::ZeroMemoryBudget, "--memory-budget-mb"),
+            (ConfigError::ZeroThreads, "--threads"),
+            (ConfigError::ZeroBatchRows, "--batch-rows"),
+            (ConfigError::ZeroFanout, "--fanout"),
+            (ConfigError::ZeroFinetuneEpochs, "--finetune-epochs"),
+            (ConfigError::InvalidDriftBand(-1.0), "--drift-band"),
+            (ConfigError::AppendWithoutCheckpointDir, "--checkpoint-dir"),
+        ] {
+            assert!(err.to_string().contains(flag), "{err}");
+        }
     }
 
     #[test]
@@ -1015,119 +741,6 @@ mod tests {
         assert_eq!(d.batch_rows, 4096);
         assert_eq!(d.fanout, 8);
         d.validate().unwrap();
-
-        let c = GrimpConfig::builder()
-            .sampler(SamplerConfig {
-                batch_rows: 512,
-                fanout: 4,
-            })
-            .build()
-            .unwrap();
-        assert_eq!(
-            c.sampler,
-            Some(SamplerConfig {
-                batch_rows: 512,
-                fanout: 4
-            })
-        );
-    }
-
-    #[test]
-    fn sampler_rejects_zero_batch_rows_and_fanout() {
-        assert_eq!(
-            GrimpConfig::builder()
-                .sampler(SamplerConfig {
-                    batch_rows: 0,
-                    fanout: 8
-                })
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroBatchRows
-        );
-        assert_eq!(
-            GrimpConfig::builder()
-                .sampler(SamplerConfig {
-                    batch_rows: 64,
-                    fanout: 0
-                })
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroFanout
-        );
-    }
-
-    #[test]
-    fn sampler_combined_with_resume_is_a_typed_error() {
-        let err = GrimpConfig::builder()
-            .sampler(SamplerConfig::default())
-            .checkpointing(CheckpointPolicy {
-                dir: Some("/tmp/ck".into()),
-                resume: true,
-                ..Default::default()
-            })
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::SamplerWithResume);
-        assert!(err.to_string().contains("--resume"), "{err}");
-    }
-
-    #[test]
-    fn grouped_views_round_trip_the_flat_fields() {
-        let c = GrimpConfig::builder()
-            .limits(ResourceLimits {
-                deadline_secs: Some(2.0),
-                memory_budget_mb: Some(128),
-            })
-            .checkpointing(CheckpointPolicy {
-                dir: Some("/tmp/rt".into()),
-                every: 3,
-                resume: false,
-                max_recoveries: 5,
-            })
-            .build()
-            .unwrap();
-        assert_eq!(
-            c.limits(),
-            ResourceLimits {
-                deadline_secs: Some(2.0),
-                memory_budget_mb: Some(128),
-            }
-        );
-        assert_eq!(
-            c.checkpointing(),
-            CheckpointPolicy {
-                dir: Some("/tmp/rt".into()),
-                every: 3,
-                resume: false,
-                max_recoveries: 5,
-            }
-        );
-    }
-
-    #[test]
-    fn from_config_builder_keeps_the_seed_config() {
-        let c = GrimpConfigBuilder::from_config(GrimpConfig::fast())
-            .seed(3)
-            .build()
-            .unwrap();
-        assert_eq!(c.max_epochs, GrimpConfig::fast().max_epochs);
-        assert_eq!(c.seed, 3);
-    }
-
-    #[test]
-    fn default_configs_validate() {
-        GrimpConfig::paper().validate().unwrap();
-        GrimpConfig::fast().validate().unwrap();
-    }
-
-    #[test]
-    fn builders_compose() {
-        let c = GrimpConfig::fast()
-            .with_linear_tasks()
-            .with_k_strategy(KStrategy::Diagonal)
-            .with_seed(9);
-        assert_eq!(c.task_kind, TaskKind::Linear);
-        assert_eq!(c.k_strategy, KStrategy::Diagonal);
-        assert_eq!(c.seed, 9);
+        fast_with(|c| c.sampler = Some(d)).validate().unwrap();
     }
 }

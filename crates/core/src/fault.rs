@@ -1,6 +1,6 @@
 //! Typed training anomalies and the deterministic fault-injection harness.
 //!
-//! The divergence guard in [`crate::Grimp::fit_impute`] checks three things
+//! The divergence guard of every fit ([`crate::Pipeline::fit`]) checks three things
 //! every epoch — loss finiteness after the forward pass, gradient finiteness
 //! (via the global gradient norm) after the backward pass, and parameter
 //! finiteness after the optimizer step — and surfaces each violation as a

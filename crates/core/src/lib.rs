@@ -21,14 +21,23 @@
 //!
 //! ## Quickstart
 //!
+//! [`Pipeline`] is the one way to fit GRIMP, over a [`GrimpConfig`] written
+//! as a struct literal on one of its presets ([`GrimpConfig::paper`],
+//! [`GrimpConfig::fast`]):
+//!
 //! ```
-//! use grimp::{Grimp, GrimpConfig};
-//! use grimp_table::{csv::read_csv_str, Imputer};
+//! use grimp::{GrimpConfig, Pipeline};
+//! use grimp_table::csv::read_csv_str;
 //!
 //! let dirty = read_csv_str("city,country\nParis,France\nRome,\nParis,\n").unwrap();
-//! let mut model = Grimp::new(GrimpConfig::fast().with_seed(1));
-//! let imputed = model.impute(&dirty);
+//! let config = GrimpConfig {
+//!     seed: 1,
+//!     ..GrimpConfig::fast()
+//! };
+//! let fitted = Pipeline::new(config).unwrap().fit(&dirty).unwrap();
+//! let imputed = fitted.impute(&dirty).unwrap();
 //! assert_eq!(imputed.n_missing(), 0);
+//! println!("trained {} epochs", fitted.report().epochs_run);
 //! ```
 
 #![warn(missing_docs)]
@@ -55,10 +64,8 @@ pub mod wal;
 pub use checkpoint::{
     TrainCheckpoint, CHECKPOINT_FILE, CHECKPOINT_MAGIC, CHECKPOINT_PREV_FILE, CHECKPOINT_VERSION,
 };
-pub use config::FinetuneConfig;
 pub use config::{
-    CategoricalLoss, CheckpointPolicy, ConfigError, GrimpConfig, GrimpConfigBuilder, KStrategy,
-    ResourceLimits, SamplerConfig, TaskKind,
+    CategoricalLoss, ConfigError, FinetuneConfig, GrimpConfig, KStrategy, SamplerConfig, TaskKind,
 };
 pub use engine::TrainState;
 pub use error::{ErrorCategory, GrimpError};
@@ -73,7 +80,7 @@ pub use governor::{
 pub use grimp_tensor::BackendKind;
 pub use incremental::{table_to_wal_rows, AppendOutcome, AppendPath};
 pub use mc::{GlobalDomain, GnnMc};
-pub use model::{FittedModel, Grimp};
+pub use model::FittedModel;
 pub use params::{ParamCounts, ParamFormula};
 pub use pipeline::Pipeline;
 pub use report::{ColumnTier, DownscaleDecision, DownscaleRung, EpochStats, TrainReport};

@@ -401,6 +401,29 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "gnn.neighbor_cap must be at least 1")]
+    fn fit_impute_rejects_a_zero_neighbor_cap_before_training() {
+        let mut dirty = functional_table(40);
+        inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(1));
+        let mut config = config();
+        config.gnn.neighbor_cap = Some(0);
+        GnnMc::new(config).fit_impute(&dirty);
+    }
+
+    #[test]
+    #[should_panic(expected = "--fanout must be at least 1")]
+    fn fit_impute_rejects_a_zero_fanout_before_training() {
+        let mut dirty = functional_table(40);
+        inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(1));
+        let mut config = config();
+        config.sampler = Some(crate::config::SamplerConfig {
+            batch_rows: 16,
+            fanout: 0,
+        });
+        GnnMc::new(config).fit_impute(&dirty);
+    }
+
+    #[test]
     fn imputed_values_stay_in_column_domain() {
         let clean = functional_table(30);
         let mut dirty = clean.clone();

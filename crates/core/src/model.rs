@@ -30,7 +30,7 @@ use rand::seq::SliceRandom;
 use grimp_gnn::{readout_rows, HeteroSage};
 use grimp_graph::{fasttext_features, FeatureSource, NeighborSampler, TableGraph};
 use grimp_obs::{names, splitmix64, EventSink, NullSink, Trace};
-use grimp_table::{ColumnKind, FdSet, Imputer, Normalizer, Table, TrainingSample, Value};
+use grimp_table::{ColumnKind, FdSet, Normalizer, Table, TrainingSample, Value};
 use grimp_tensor::{Mlp, Tape, Tensor, Var};
 
 use crate::checkpoint::TrainCheckpoint;
@@ -49,18 +49,6 @@ pub const CONSTANT_FILL_CATEGORICAL: &str = "(unknown)";
 /// Numerical fill value of the [`ColumnTier::Constant`] ladder rung.
 pub const CONSTANT_FILL_NUMERICAL: f64 = 0.0;
 
-/// The GRIMP imputer (paper §3). Construct with a config, call
-/// [`Grimp::fit_impute`] (or the [`Imputer`] trait) on a dirty table.
-///
-/// For a fit-once/impute-many handle (including imputing *unseen* tables
-/// with the inductive FastText features), use [`crate::Pipeline`], which
-/// returns a [`FittedModel`].
-pub struct Grimp {
-    config: GrimpConfig,
-    fds: FdSet,
-    last_report: Option<TrainReport>,
-}
-
 /// Per-task label storage (shared with the loss nodes, hence `Arc`).
 enum Labels {
     Cat(Arc<Vec<u32>>),
@@ -70,80 +58,6 @@ enum Labels {
 struct TaskBatch {
     batch: VectorBatch,
     labels: Labels,
-}
-
-impl Grimp {
-    /// A GRIMP model with no FDs.
-    pub fn new(config: GrimpConfig) -> Self {
-        Grimp {
-            config,
-            fds: FdSet::empty(),
-            last_report: None,
-        }
-    }
-
-    /// A GRIMP model that exploits the given FDs in its attention `K`
-    /// matrices (GRIMP-A of §4.3; pair with
-    /// [`crate::config::KStrategy::WeakDiagonalFd`]).
-    pub fn with_fds(config: GrimpConfig, fds: FdSet) -> Self {
-        Grimp {
-            config,
-            fds,
-            last_report: None,
-        }
-    }
-
-    /// The report of the most recent [`Grimp::fit_impute`] call.
-    pub fn last_report(&self) -> Option<&TrainReport> {
-        self.last_report.as_ref()
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &GrimpConfig {
-        &self.config
-    }
-
-    /// Train on the dirty table (self-supervised — no clean data needed) and
-    /// impute all its missing values.
-    pub fn fit_impute(&mut self, dirty: &Table) -> Table {
-        let mut sink = NullSink;
-        self.fit_impute_traced(dirty, &mut sink)
-    }
-
-    /// [`Grimp::fit_impute`] with structured events streamed into `sink`.
-    ///
-    /// Given a valid configuration this entry point cannot fail: the only
-    /// fit-time error (a zero-column table) has nothing to impute, so the
-    /// input comes back unchanged, and the training-table impute path
-    /// cannot fail.
-    ///
-    /// The report's [`TrainReport::seconds`] covers the fit and the impute.
-    ///
-    /// # Panics
-    /// With the [`crate::ConfigError`]'s message when the configuration
-    /// fails [`GrimpConfig::validate_fit`]. The policy checks of
-    /// [`GrimpConfig::validate`] do not apply here: this entry point also
-    /// trains configurations that only the engine itself may set, such as
-    /// a sampled run that resumes.
-    pub fn fit_impute_traced(&mut self, dirty: &Table, sink: &mut dyn EventSink) -> Table {
-        if let Err(e) = self.config.validate_fit() {
-            panic!("{e}");
-        }
-        let fitted = match fit_model(&self.config, &self.fds, dirty, sink) {
-            Ok(f) => f,
-            Err(_) => return dirty.clone(),
-        };
-        let start = Instant::now();
-        let result = fitted
-            .impute_traced(dirty, sink)
-            // Unreachable for the training table; kept as a safety net so
-            // the Imputer contract survives even a future logic error.
-            .unwrap_or_else(|_| baseline_fill(dirty));
-        let mut report = fitted.report;
-        report.seconds += start.elapsed().as_secs_f64();
-        self.last_report = Some(report);
-        result
-    }
 }
 
 /// Variant name shown in experiment output (paper §4.3 naming).
@@ -165,8 +79,8 @@ pub(crate) fn variant_name(config: &GrimpConfig) -> &'static str {
 /// pass on a scratch tape of its own, so one model can serve many threads
 /// at once (share it behind an `Arc`).
 ///
-/// Produced by [`crate::Pipeline::fit`]; [`Grimp::fit_impute`] is a thin
-/// fit-then-impute wrapper over the same machinery.
+/// Produced by [`crate::Pipeline::fit`] (or [`crate::Pipeline::restore`]
+/// from a checkpoint).
 pub struct FittedModel {
     config: GrimpConfig,
     normalizer: Normalizer,
@@ -523,8 +437,8 @@ fn detect_column_tier(table: &Table, j: usize) -> ColumnTier {
 /// Train a GRIMP model on the dirty table, emitting structured events into
 /// `sink`, and return the fitted inference handle.
 ///
-/// This is the engine behind both [`crate::Pipeline::fit`] and
-/// [`Grimp::fit_impute`].
+/// This is the engine behind [`crate::Pipeline::fit`]. It does not
+/// validate `config`: the caller has (see [`GrimpConfig::validate_fit`]).
 ///
 /// # Errors
 /// [`GrimpError::EmptySchema`] when the table has no columns — there is
@@ -974,16 +888,10 @@ fn finalize(
     report.recoveries = state.recoveries;
     // A run-level degradation is the bottom of the ladder for every column
     // that was still training: each steps down to its mode/mean baseline.
-    // So does a deadline or interrupt that fired before a single epoch
-    // completed (and without a resumed checkpoint): the task heads are
-    // still at their random init, and imputing from them would be noise.
-    if degraded || ((report.deadline_hit || report.interrupted) && state.epoch == 0) {
-        for t in built.net.tiers.iter_mut() {
-            if *t == ColumnTier::Gnn {
-                *t = ColumnTier::Baseline;
-            }
-        }
+    if degraded {
+        demote_gnn_columns(&mut built.net.tiers);
     }
+    demote_untrained_heads(&mut built.net.tiers, state.epoch as u64);
     for (j, t) in built.net.tiers.iter().enumerate() {
         trace.counter(names::COLUMN_TIER, j as u64, t.code());
     }
@@ -997,12 +905,35 @@ fn finalize(
     built.into_fitted(dirty.clone(), trainer.best_params, trainer.report)
 }
 
+/// Step every column still at the GNN tier down to its mode/mean baseline.
+fn demote_gnn_columns(tiers: &mut [ColumnTier]) {
+    for t in tiers.iter_mut() {
+        if *t == ColumnTier::Gnn {
+            *t = ColumnTier::Baseline;
+        }
+    }
+}
+
+/// The ladder rule for task heads that never trained: when no epoch
+/// completed (`epochs_completed == 0`, as when a deadline or shutdown
+/// stops a fit before its first epoch with no resumed checkpoint), the
+/// heads still hold their random init and imputing from them would be
+/// noise, so every GNN-tier column steps down to its mode/mean baseline.
+/// Finalize applies it to the fit, and restore to the checkpoint such a
+/// fit wrote, so a restored model imputes like the fit that wrote it.
+fn demote_untrained_heads(tiers: &mut [ColumnTier], epochs_completed: u64) {
+    if epochs_completed == 0 {
+        demote_gnn_columns(tiers);
+    }
+}
+
 /// Rebuild a [`FittedModel`] from a saved [`TrainCheckpoint`] without
 /// training: the admit and build stages reconstruct the model *structure*
 /// (graph, features, tape, task heads) deterministically from the table
 /// and configuration — exactly as a fit builds it, including any
 /// admission-time memory downscale — and the checkpoint's weights are
-/// restored onto it.
+/// restored onto it. A checkpoint written before the first epoch completed
+/// leaves its GNN-tier columns at the baseline, as its fit did.
 ///
 /// No checkpoint-directory lock is taken and nothing is written: a serving
 /// process can restore from a directory a trainer is actively rotating.
@@ -1028,6 +959,7 @@ pub(crate) fn restore_model(
     let admitted = admit(config, dirty, &mut trace);
     let mut built = build(admitted, fds, dirty, None, None, &mut trace);
     let report = std::mem::take(&mut built.report);
+    demote_untrained_heads(&mut built.net.tiers, ck.epoch);
     // Imputation runs from the best-validation parameters, falling back to
     // the last epoch's for checkpoints taken before the first improvement.
     let params = ck.best_params.as_ref().unwrap_or(&ck.params);
@@ -1046,10 +978,10 @@ pub(crate) fn restore_model(
     Ok(fitted)
 }
 
-/// Mode/mean fallback (safety net of [`Grimp::fit_impute_traced`]): every
-/// column fills from its baseline rung — mode or mean, else the global
-/// constant — so every missing cell is filled, without exception.
-fn baseline_fill(dirty: &Table) -> Table {
+/// Mode/mean fallback (safety net of the [`crate::Pipeline`] imputer):
+/// every column fills from its baseline rung — mode or mean, else the
+/// global constant — so every missing cell is filled, without exception.
+pub(crate) fn baseline_fill(dirty: &Table) -> Table {
     let mut result = dirty.clone();
     for j in 0..dirty.n_columns() {
         fill_column_from_ladder(&mut result, dirty, j, ColumnTier::Baseline);
@@ -1075,16 +1007,6 @@ fn inject_task_loss_fault(
     }
     if let Some(first) = tape.value_mut(loss).as_mut_slice().first_mut() {
         *first = f32::NAN;
-    }
-}
-
-impl Imputer for Grimp {
-    fn name(&self) -> &str {
-        variant_name(&self.config)
-    }
-
-    fn impute(&mut self, dirty: &Table) -> Table {
-        self.fit_impute(dirty)
     }
 }
 
@@ -1324,6 +1246,14 @@ mod tests {
         t
     }
 
+    /// Fit through the engine, as `Pipeline::fit` does, then impute the
+    /// training table: the imputed table and the fit's report.
+    fn fit_impute(config: &GrimpConfig, dirty: &Table) -> (Table, TrainReport) {
+        let fitted = fit_model(config, &FdSet::empty(), dirty, &mut NullSink).unwrap();
+        let imputed = fitted.impute(dirty).unwrap();
+        (imputed, fitted.report)
+    }
+
     fn tiny_config(kind: TaskKind) -> GrimpConfig {
         GrimpConfig {
             features: FeatureSource::FastText,
@@ -1349,32 +1279,8 @@ mod tests {
         let clean = functional_table(60);
         let mut dirty = clean.clone();
         inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(1));
-        let mut model = Grimp::new(tiny_config(TaskKind::Attention));
-        let imputed = model.fit_impute(&dirty);
+        let (imputed, _) = fit_impute(&tiny_config(TaskKind::Attention), &dirty);
         check_imputation_contract(&dirty, &imputed).unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "gnn.neighbor_cap must be at least 1")]
-    fn fit_impute_rejects_a_zero_neighbor_cap_before_training() {
-        let mut dirty = functional_table(40);
-        inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(1));
-        let mut config = tiny_config(TaskKind::Attention);
-        config.gnn.neighbor_cap = Some(0);
-        Grimp::new(config).fit_impute(&dirty);
-    }
-
-    #[test]
-    #[should_panic(expected = "--fanout must be at least 1")]
-    fn fit_impute_rejects_a_zero_fanout_before_training() {
-        let mut dirty = functional_table(40);
-        inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(1));
-        let mut config = tiny_config(TaskKind::Attention);
-        config.sampler = Some(crate::config::SamplerConfig {
-            batch_rows: 16,
-            fanout: 0,
-        });
-        Grimp::new(config).fit_impute(&dirty);
     }
 
     #[test]
@@ -1382,12 +1288,10 @@ mod tests {
         let clean = functional_table(80);
         let mut dirty = clean.clone();
         let log = inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(2));
-        let mut model = Grimp::new(tiny_config(TaskKind::Attention));
-        let imputed = model.fit_impute(&dirty);
+        let (imputed, report) = fit_impute(&tiny_config(TaskKind::Attention), &dirty);
         // accuracy on categorical cells must beat the 25 % random baseline
         let acc = cat_accuracy(&log, &imputed);
         assert!(acc > 0.5, "categorical accuracy too low: {acc}");
-        let report = model.last_report().unwrap();
         assert!(report.epochs_run > 0);
         assert_eq!(report.train_losses().len(), report.epochs_run);
         assert_eq!(report.epochs.len(), report.epochs_run);
@@ -1398,8 +1302,7 @@ mod tests {
         let clean = functional_table(60);
         let mut dirty = clean.clone();
         let log = inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(3));
-        let mut model = Grimp::new(tiny_config(TaskKind::Linear));
-        let imputed = model.fit_impute(&dirty);
+        let (imputed, _) = fit_impute(&tiny_config(TaskKind::Linear), &dirty);
         check_imputation_contract(&dirty, &imputed).unwrap();
         assert!(cat_accuracy(&log, &imputed) > 0.5);
     }
@@ -1409,8 +1312,7 @@ mod tests {
         let clean = functional_table(60);
         let mut dirty = clean.clone();
         inject_mcar(&mut dirty, 0.15, &mut StdRng::seed_from_u64(4));
-        let mut model = Grimp::new(tiny_config(TaskKind::Attention));
-        let imputed = model.fit_impute(&dirty);
+        let (imputed, _) = fit_impute(&tiny_config(TaskKind::Attention), &dirty);
         // imputed numericals must be in the vicinity of the column's range
         for i in 0..imputed.n_rows() {
             if dirty.is_missing(i, 2) {
@@ -1432,8 +1334,7 @@ mod tests {
         let log = inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(8));
         let mut cfg = tiny_config(TaskKind::Attention);
         cfg.categorical_loss = crate::config::CategoricalLoss::Focal(2.0);
-        let mut model = Grimp::new(cfg);
-        let imputed = model.fit_impute(&dirty);
+        let (imputed, _) = fit_impute(&cfg, &dirty);
         check_imputation_contract(&dirty, &imputed).unwrap();
         assert!(
             cat_accuracy(&log, &imputed) > 0.5,
@@ -1449,9 +1350,7 @@ mod tests {
         let mut cfg = tiny_config(TaskKind::Linear);
         cfg.patience = 1;
         cfg.max_epochs = 50;
-        let mut model = Grimp::new(cfg);
-        let _ = model.fit_impute(&dirty);
-        let report = model.last_report().unwrap();
+        let (_, report) = fit_impute(&cfg, &dirty);
         assert!(report.epochs_run <= 50);
     }
 
@@ -1476,10 +1375,8 @@ mod tests {
             times: 1,
             kind: crate::fault::FaultKind::GradNan,
         });
-        let mut model = Grimp::new(cfg);
-        let imputed = model.fit_impute(&dirty);
+        let (imputed, report) = fit_impute(&cfg, &dirty);
         check_imputation_contract(&dirty, &imputed).unwrap();
-        let report = model.last_report().unwrap();
         assert_eq!(report.anomalies_detected(), 1, "{:?}", report.anomalies);
         assert!(matches!(
             report.anomalies[0],
@@ -1503,10 +1400,8 @@ mod tests {
             times: 1,
             kind: crate::fault::FaultKind::ParamNan,
         });
-        let mut model = Grimp::new(cfg);
-        let imputed = model.fit_impute(&dirty);
+        let (imputed, report) = fit_impute(&cfg, &dirty);
         check_imputation_contract(&dirty, &imputed).unwrap();
-        let report = model.last_report().unwrap();
         assert!(matches!(
             report.anomalies[0],
             crate::fault::TrainAnomaly::NonFiniteParameter { epoch: 2 }
@@ -1527,9 +1422,7 @@ mod tests {
             times: usize::MAX, // every retry is re-poisoned
             kind: crate::fault::FaultKind::ParamNan,
         });
-        let mut model = Grimp::new(cfg);
-        let imputed = model.fit_impute(&dirty);
-        let report = model.last_report().unwrap();
+        let (imputed, report) = fit_impute(&cfg, &dirty);
         assert!(report.degraded_to_baseline);
         assert_eq!(report.recoveries, 3, "budget of 2 plus the final straw");
         assert_eq!(report.anomalies_detected(), 3);
@@ -1552,9 +1445,7 @@ mod tests {
             times: 2,
             kind: crate::fault::FaultKind::GradNan,
         });
-        let mut model = Grimp::new(cfg);
-        let _ = model.fit_impute(&dirty);
-        let report = model.last_report().unwrap();
+        let (_, report) = fit_impute(&cfg, &dirty);
         assert_eq!(report.recoveries, 2);
         assert_eq!(report.anomalies_detected(), 2);
         assert!(!report.degraded_to_baseline);
@@ -1568,10 +1459,8 @@ mod tests {
         inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(5));
         let mut cfg = tiny_config(TaskKind::Attention);
         cfg.max_grad_norm = Some(1e-3); // absurdly tight: clips every epoch
-        let mut model = Grimp::new(cfg);
-        let imputed = model.fit_impute(&dirty);
+        let (imputed, report) = fit_impute(&cfg, &dirty);
         check_imputation_contract(&dirty, &imputed).unwrap();
-        let report = model.last_report().unwrap();
         assert!(report.clip_activations > 0);
         assert_eq!(report.clip_activations, report.epochs_run);
         assert!(report.grad_norms().iter().all(|n| n.is_finite()));
@@ -1583,9 +1472,7 @@ mod tests {
         let clean = functional_table(60);
         let mut dirty = clean.clone();
         inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(1));
-        let mut model = Grimp::new(tiny_config(TaskKind::Attention));
-        let _ = model.fit_impute(&dirty);
-        let report = model.last_report().unwrap();
+        let (_, report) = fit_impute(&tiny_config(TaskKind::Attention), &dirty);
         assert_eq!(report.anomalies_detected(), 0);
         assert_eq!(report.recoveries, 0);
         assert_eq!(report.clip_activations, 0, "default threshold never fires");
@@ -1611,21 +1498,19 @@ mod tests {
         cfg.patience = 30;
 
         // uninterrupted reference
-        let reference = Grimp::new(cfg.clone()).fit_impute(&dirty);
+        let reference = fit_impute(&cfg, &dirty).0;
 
         // phase 1: "killed" after 11 epochs, checkpointing to disk
         let mut phase1 = cfg.clone();
         phase1.max_epochs = 11;
         phase1.checkpoint_dir = Some(dir.clone());
-        let _ = Grimp::new(phase1).fit_impute(&dirty);
+        let _ = fit_impute(&phase1, &dirty).0;
 
         // phase 2: resume and finish
         let mut phase2 = cfg.clone();
         phase2.checkpoint_dir = Some(dir.clone());
         phase2.resume = true;
-        let mut model = Grimp::new(phase2);
-        let resumed = model.fit_impute(&dirty);
-        let report = model.last_report().unwrap();
+        let (resumed, report) = fit_impute(&phase2, &dirty);
         assert_eq!(report.resumed_from_epoch, Some(11));
         assert_eq!(report.epochs_run, 30 - 11);
 
@@ -1647,10 +1532,8 @@ mod tests {
         cfg.max_epochs = 5;
         cfg.checkpoint_dir = Some(dir.clone());
         cfg.resume = true;
-        let mut model = Grimp::new(cfg);
-        let imputed = model.fit_impute(&dirty);
+        let (imputed, report) = fit_impute(&cfg, &dirty);
         check_imputation_contract(&dirty, &imputed).unwrap();
-        let report = model.last_report().unwrap();
         assert!(report.resumed_from_epoch.is_none());
         assert_eq!(report.io_errors.len(), 1, "{:?}", report.io_errors);
         assert!(report.epochs_run > 0, "training restarted from scratch");
@@ -1683,11 +1566,9 @@ mod tests {
             batch_rows: 32,
             fanout: 4,
         });
-        let mut model = Grimp::new(cfg.clone());
-        let imputed = model.fit_impute(&dirty);
+        let (imputed, report) = fit_impute(&cfg, &dirty);
         check_imputation_contract(&dirty, &imputed).unwrap();
         assert_eq!(imputed.n_missing(), 0, "sampled mode must fill every cell");
-        let report = model.last_report().unwrap();
         assert_eq!(report.sampler_batch_rows, Some(32));
         assert_eq!(report.sampler_fanout, Some(4));
         assert!(report.epochs.iter().all(|e| e.sampled_edges > 0));
@@ -1695,7 +1576,7 @@ mod tests {
         let acc = cat_accuracy(&log, &imputed);
         assert!(acc > 0.5, "sampled-mode accuracy too low: {acc}");
         // bit-identical across runs with the same seed
-        let again = Grimp::new(cfg).fit_impute(&dirty);
+        let again = fit_impute(&cfg, &dirty).0;
         assert_tables_bit_identical(&imputed, &again);
     }
 
@@ -1710,9 +1591,7 @@ mod tests {
             batch_rows: 24,
             fanout: 3,
         });
-        let mut model = Grimp::new(cfg);
-        let _ = model.fit_impute(&dirty);
-        let report = model.last_report().unwrap();
+        let (_, report) = fit_impute(&cfg, &dirty);
         assert!(report.epochs_run > 2, "need steady-state epochs to measure");
         for e in &report.epochs[1..] {
             assert_eq!(
@@ -1766,9 +1645,7 @@ mod tests {
         let mut cfg = tiny_config(TaskKind::Attention);
         cfg.max_epochs = 4;
         cfg.patience = 4;
-        let mut model = Grimp::new(cfg);
-        let _ = model.fit_impute(&dirty);
-        let report = model.last_report().unwrap();
+        let (_, report) = fit_impute(&cfg, &dirty);
         assert_eq!(report.epochs_run, 4);
         assert!(
             report.epochs[0].allocs > 0,
@@ -1790,9 +1667,7 @@ mod tests {
         let clean = functional_table(60);
         let mut dirty = clean.clone();
         inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(23));
-        let mut model = Grimp::new(tiny_config(TaskKind::Attention));
-        let _ = model.fit_impute(&dirty);
-        let report = model.last_report().unwrap();
+        let (_, report) = fit_impute(&tiny_config(TaskKind::Attention), &dirty);
         assert_eq!(report.sampler_batch_rows, None);
         assert_eq!(report.sampler_fanout, None);
         assert!(report.epochs.iter().all(|e| e.sampled_edges == 0));
@@ -1815,59 +1690,24 @@ mod tests {
             fanout: 4,
         });
 
-        let reference = Grimp::new(cfg.clone()).fit_impute(&dirty);
+        let reference = fit_impute(&cfg, &dirty).0;
 
         // the per-epoch draws are keyed on (seed, epoch), so a run killed
         // mid-way and resumed must re-draw the remaining epochs identically
         let mut phase1 = cfg.clone();
         phase1.max_epochs = 7;
         phase1.checkpoint_dir = Some(dir.clone());
-        let _ = Grimp::new(phase1).fit_impute(&dirty);
+        let _ = fit_impute(&phase1, &dirty).0;
 
-        // resume is only rejected for *user* configs (validate()); the
-        // structure config here mimics the governor-applied path by
-        // setting the fields directly
+        // `Pipeline::new` rejects a sampled resume (`validate`), but the
+        // engine resumes sampled runs of its own, as the append path does
         let mut phase2 = cfg.clone();
         phase2.checkpoint_dir = Some(dir.clone());
         phase2.resume = true;
-        let mut model = Grimp::new(phase2);
-        let resumed = model.fit_impute(&dirty);
-        let report = model.last_report().unwrap();
+        let (resumed, report) = fit_impute(&phase2, &dirty);
         assert_eq!(report.resumed_from_epoch, Some(7));
 
         assert_tables_bit_identical(&reference, &resumed);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn imputer_trait_names_variants() {
-        assert_eq!(
-            Grimp::new(tiny_config(TaskKind::Attention)).name(),
-            "GRIMP-FT"
-        );
-        assert_eq!(
-            Grimp::new(tiny_config(TaskKind::Attention).with_features(FeatureSource::Embdi)).name(),
-            "GRIMP-E"
-        );
-        assert_eq!(
-            Grimp::new(tiny_config(TaskKind::Linear)).name(),
-            "GRIMP-linear"
-        );
-    }
-
-    #[test]
-    fn fitted_model_imputes_the_training_table_like_fit_impute() {
-        let clean = functional_table(60);
-        let mut dirty = clean.clone();
-        inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(11));
-        let cfg = tiny_config(TaskKind::Attention);
-        let reference = Grimp::new(cfg.clone()).fit_impute(&dirty);
-        let mut sink = NullSink;
-        let fitted = fit_model(&cfg, &FdSet::empty(), &dirty, &mut sink).unwrap();
-        let via_pipeline = fitted.impute(&dirty).unwrap();
-        assert_tables_bit_identical(&reference, &via_pipeline);
-        // a second impute of the same table is stable
-        let again = fitted.impute(&dirty).unwrap();
-        assert_tables_bit_identical(&reference, &again);
     }
 }

@@ -1,18 +1,18 @@
 //! The high-level imputation pipeline: validated configuration in, fitted
 //! model out.
 //!
-//! [`Pipeline`] is the front door of the crate for fit-once/impute-many
-//! use. It validates the configuration up front (returning a
-//! [`ConfigError`] instead of panicking mid-training), and
-//! [`Pipeline::fit`] returns a [`FittedModel`] that can impute the
-//! training table (transductive, paper §3.7) or — with FastText features —
-//! schema-compatible unseen tables (inductive). Every fallible step
-//! surfaces as a typed [`GrimpError`] — the pipeline never panics on
-//! adversarial input.
+//! [`Pipeline`] is the one way to fit GRIMP. It validates the configuration
+//! up front (returning a [`ConfigError`] instead of panicking
+//! mid-training), and [`Pipeline::fit`] returns a [`FittedModel`] that can
+//! impute the training table (transductive, paper §3.7) or — with FastText
+//! features — schema-compatible unseen tables (inductive). Every fallible
+//! step surfaces as a typed [`GrimpError`] — the pipeline never panics on
+//! adversarial input. As an [`Imputer`], a pipeline fits and imputes the
+//! table it is given in one call, for harnesses that compare imputers.
 //!
 //! The kernel backend is part of the validated configuration:
-//! `GrimpConfig::builder().backend(BackendKind::Parallel { threads })`
-//! runs the hot kernels on the fixed-partition thread pool, with results
+//! `GrimpConfig { backend: BackendKind::Parallel { threads }, .. }` runs
+//! the hot kernels on the fixed-partition thread pool, with results
 //! bit-identical to the default serial backend (see
 //! [`grimp_tensor::TensorBackend`]), so checkpoints, traces, and reports
 //! carry across backends unchanged.
@@ -26,11 +26,11 @@
 //!     schema,
 //!     &[vec![Some("x")], vec![Some("x")], vec![None]],
 //! );
-//! let config = GrimpConfig::builder()
-//!     .max_epochs(3)
-//!     .seed(1)
-//!     .build()
-//!     .expect("valid config");
+//! let config = GrimpConfig {
+//!     max_epochs: 3,
+//!     seed: 1,
+//!     ..GrimpConfig::paper()
+//! };
 //! let fitted = Pipeline::new(config)
 //!     .expect("validated")
 //!     .fit(&dirty)
@@ -40,12 +40,12 @@
 //! ```
 
 use grimp_obs::{EventSink, NullSink};
-use grimp_table::{FdSet, Table};
+use grimp_table::{FdSet, Imputer, Table};
 
 use crate::checkpoint::TrainCheckpoint;
 use crate::config::{ConfigError, GrimpConfig};
 use crate::error::GrimpError;
-use crate::model::{fit_model, restore_model, variant_name, FittedModel};
+use crate::model::{baseline_fill, fit_model, restore_model, variant_name, FittedModel};
 
 /// A validated, ready-to-fit GRIMP pipeline.
 #[derive(Clone, Debug)]
@@ -76,11 +76,6 @@ impl Pipeline {
     /// The validated configuration.
     pub fn config(&self) -> &GrimpConfig {
         &self.config
-    }
-
-    /// The GRIMP variant name this pipeline trains (paper §4.3 naming).
-    pub fn name(&self) -> &'static str {
-        variant_name(&self.config)
     }
 
     /// Train on the dirty table (self-supervised) and return the fitted
@@ -183,6 +178,32 @@ impl Pipeline {
     }
 }
 
+/// GRIMP as a fit-then-impute [`Imputer`], for harnesses that run many
+/// imputers side by side: [`Imputer::name`] is the variant name (paper
+/// §4.3 naming), and [`Imputer::impute`] fits the pipeline on the dirty
+/// table (self-supervised — no clean data needed) and imputes that table.
+/// Use [`Pipeline::fit`] to read the training report or to impute other
+/// tables with the same model.
+impl Imputer for Pipeline {
+    fn name(&self) -> &str {
+        variant_name(&self.config)
+    }
+
+    /// A table the fit rejects comes back unchanged (a zero-column table
+    /// has nothing to impute).
+    fn impute(&mut self, dirty: &Table) -> Table {
+        let fitted = match self.fit(dirty) {
+            Ok(f) => f,
+            Err(_) => return dirty.clone(),
+        };
+        fitted
+            .impute(dirty)
+            // Unreachable for the training table; kept as a safety net so
+            // the Imputer contract survives even a future logic error.
+            .unwrap_or_else(|_| baseline_fill(dirty))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,21 +226,21 @@ mod tests {
     }
 
     fn quick_config() -> GrimpConfig {
-        GrimpConfig::builder()
-            .feature_dim(8)
-            .gnn(grimp_gnn::GnnConfig {
+        GrimpConfig {
+            feature_dim: 8,
+            gnn: grimp_gnn::GnnConfig {
                 layers: 2,
                 hidden: 8,
                 ..Default::default()
-            })
-            .merge_hidden(16)
-            .embed_dim(8)
-            .max_epochs(15)
-            .patience(15)
-            .learning_rate(2e-2)
-            .seed(5)
-            .build()
-            .unwrap()
+            },
+            merge_hidden: 16,
+            embed_dim: 8,
+            max_epochs: 15,
+            patience: 15,
+            lr: 2e-2,
+            seed: 5,
+            ..GrimpConfig::paper()
+        }
     }
 
     #[test]
@@ -232,14 +253,59 @@ mod tests {
             Pipeline::new(bad).unwrap_err(),
             ConfigError::ResumeWithoutCheckpointDir
         );
+        // The policy check `validate_fit` leaves to `validate`.
+        let sampled_resume = GrimpConfig {
+            sampler: Some(crate::SamplerConfig::default()),
+            checkpoint_dir: Some("/tmp/ck".into()),
+            resume: true,
+            ..GrimpConfig::fast()
+        };
+        assert_eq!(
+            Pipeline::new(sampled_resume).unwrap_err(),
+            ConfigError::SamplerWithResume
+        );
+    }
+
+    #[test]
+    fn appending_without_a_checkpoint_dir_is_a_config_error() {
+        let base = small_table(9);
+        let rows = crate::table_to_wal_rows(&small_table(2));
+        match Pipeline::new(quick_config()).unwrap().append(&base, &rows) {
+            Err(GrimpError::Config(ConfigError::AppendWithoutCheckpointDir)) => {}
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("an append needs a checkpoint directory"),
+        }
     }
 
     #[test]
     fn pipeline_names_the_variant() {
-        let p = Pipeline::new(GrimpConfig::fast()).unwrap();
-        assert_eq!(p.name(), "GRIMP-FT");
-        let p = Pipeline::new(GrimpConfig::fast().with_linear_tasks()).unwrap();
-        assert_eq!(p.name(), "GRIMP-linear");
+        let name = |config| Pipeline::new(config).unwrap().name().to_string();
+        assert_eq!(name(GrimpConfig::fast()), "GRIMP-FT");
+        let embdi = GrimpConfig {
+            features: grimp_graph::FeatureSource::Embdi,
+            ..GrimpConfig::fast()
+        };
+        assert_eq!(name(embdi), "GRIMP-E");
+        let linear = GrimpConfig {
+            task_kind: crate::TaskKind::Linear,
+            ..GrimpConfig::fast()
+        };
+        assert_eq!(name(linear), "GRIMP-linear");
+    }
+
+    #[test]
+    fn the_imputer_fits_then_imputes_the_training_table() {
+        let mut dirty = small_table(45);
+        inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(11));
+        let mut pipeline = Pipeline::new(quick_config()).unwrap();
+        let fitted = pipeline.fit(&dirty).unwrap();
+        let want = fitted.impute(&dirty).unwrap();
+        assert_eq!(pipeline.impute(&dirty), want);
+        // a second impute of the same table is stable
+        assert_eq!(fitted.impute(&dirty).unwrap(), want);
+        // a table the fit rejects comes back unchanged
+        let empty = Table::empty(Schema::from_pairs(&[]));
+        assert_eq!(pipeline.impute(&empty), empty);
     }
 
     #[test]
@@ -259,15 +325,15 @@ mod tests {
     fn parallel_backend_pipeline_validates_fits_and_reports_its_threads() {
         let mut dirty = small_table(30);
         inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(4));
-        let cfg = GrimpConfig::builder()
-            .feature_dim(8)
-            .merge_hidden(16)
-            .embed_dim(8)
-            .max_epochs(3)
-            .seed(5)
-            .backend(grimp_tensor::BackendKind::Parallel { threads: 2 })
-            .build()
-            .unwrap();
+        let cfg = GrimpConfig {
+            feature_dim: 8,
+            merge_hidden: 16,
+            embed_dim: 8,
+            max_epochs: 3,
+            seed: 5,
+            backend: grimp_tensor::BackendKind::Parallel { threads: 2 },
+            ..GrimpConfig::paper()
+        };
         let fitted = Pipeline::new(cfg).unwrap().fit(&dirty).unwrap();
         assert_eq!(fitted.report().backend_threads, 2);
         let imputed = fitted.impute(&dirty).unwrap();
@@ -275,7 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn report_seconds_time_the_fit_and_fit_impute_adds_its_impute() {
+    fn report_seconds_time_the_fit_and_imputes_leave_them_alone() {
         use grimp_obs::{names, EventKind, MemorySink};
         let span = |sink: &MemorySink, name: &str| -> f64 {
             let mut exits = sink.events().iter();
@@ -297,35 +363,40 @@ mod tests {
         assert_eq!(fitted.report().seconds.to_bits(), fit.to_bits());
         let replayed = crate::TrainReport::from_events(sink.events());
         assert_eq!(replayed.seconds.to_bits(), fit.to_bits());
-
-        // `Grimp::fit_impute`'s report covers its fit and its one impute.
-        let mut sink = MemorySink::new();
-        let mut grimp = crate::Grimp::new(quick_config());
-        grimp.fit_impute_traced(&dirty, &mut sink);
-        let seconds = grimp.last_report().unwrap().seconds;
-        assert!(seconds >= span(&sink, names::FIT) + span(&sink, names::IMPUTE));
     }
 
     #[test]
     fn restore_rebuilds_an_equivalent_model_from_a_checkpoint() {
         let mut dirty = small_table(45);
         inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(2));
-        let dir = std::env::temp_dir().join(format!("grimp-restore-{}", std::process::id()));
-        let cfg = GrimpConfig {
-            checkpoint_dir: Some(dir.clone()),
-            ..quick_config()
-        };
-        let pipeline = Pipeline::new(cfg).unwrap();
-        let fitted = pipeline.fit(&dirty).unwrap();
-        let want = fitted.impute(&dirty).unwrap();
+        // A finished fit, and one whose shutdown was requested before its
+        // first epoch: its final checkpoint holds the initial weights, so
+        // the fit and its restore must both impute from the baseline.
+        let stopped = crate::ShutdownFlag::new();
+        stopped.request();
+        for (label, shutdown) in [("finished", None), ("interrupted", Some(stopped))] {
+            let dir =
+                std::env::temp_dir().join(format!("grimp-restore-{label}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let cfg = GrimpConfig {
+                checkpoint_dir: Some(dir.clone()),
+                shutdown: shutdown.clone(),
+                ..quick_config()
+            };
+            let pipeline = Pipeline::new(cfg).unwrap();
+            let fitted = pipeline.fit(&dirty).unwrap();
+            assert_eq!(fitted.report().interrupted, shutdown.is_some(), "{label}");
+            let want = fitted.impute(&dirty).unwrap();
 
-        let ck = TrainCheckpoint::load(&dir.join(crate::checkpoint::CHECKPOINT_FILE))
-            .expect("final checkpoint written");
-        let restored = pipeline.restore(&dirty, &ck).expect("restores");
-        assert_eq!(restored.report().epochs_run, 0, "restore never trains");
-        let got = restored.impute(&dirty).unwrap();
-        assert_eq!(got, want, "restored model must impute identically");
-        let _ = std::fs::remove_dir_all(&dir);
+            let ck = TrainCheckpoint::load(&dir.join(crate::checkpoint::CHECKPOINT_FILE))
+                .expect("final checkpoint written");
+            let restored = pipeline.restore(&dirty, &ck).expect("restores");
+            assert_eq!(restored.report().epochs_run, 0, "restore never trains");
+            assert_eq!(restored.column_tiers(), fitted.column_tiers(), "{label}");
+            let got = restored.impute(&dirty).unwrap();
+            assert_eq!(got, want, "{label}: restored model must impute identically");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

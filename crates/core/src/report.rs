@@ -184,9 +184,9 @@ pub struct TrainReport {
     pub epochs: Vec<EpochStats>,
     /// Whether early stopping fired before `max_epochs`.
     pub early_stopped: bool,
-    /// Wall-clock seconds of the fit (or restore) that produced the model;
-    /// [`Grimp::fit_impute`](crate::Grimp::fit_impute) adds its one
-    /// imputation pass.
+    /// Wall-clock seconds of the fit (or restore) that produced the model.
+    /// Imputes leave it alone; a caller that times fit plus impute adds
+    /// the impute's wall time itself.
     pub seconds: f64,
     /// Seconds in forward passes, including rolled-back epoch attempts.
     pub forward_s: f64,

@@ -11,7 +11,7 @@
 use grimp_obs::NullSink;
 use grimp_table::{FdSet, Table};
 
-use crate::config::GrimpConfig;
+use crate::config::{GrimpConfig, TaskKind};
 use crate::model::fit_model;
 
 /// One candidate's probe outcome.
@@ -113,9 +113,9 @@ pub fn default_candidates(base: &GrimpConfig) -> Vec<(String, GrimpConfig)> {
             "linear-lr1e2".into(),
             GrimpConfig {
                 lr: 1e-2,
+                task_kind: TaskKind::Linear,
                 ..base.clone()
-            }
-            .with_linear_tasks(),
+            },
         ),
     ]
 }

@@ -10,25 +10,36 @@ use grimp::{ColumnTier, GrimpConfig, Pipeline, TrainReport};
 use grimp_obs::MemorySink;
 use grimp_table::adversarial::{self, Scenario};
 use grimp_table::csv::read_csv_str;
-use grimp_table::ColumnKind;
+use grimp_table::{ColumnKind, Table};
 
 fn chaos_config() -> GrimpConfig {
-    GrimpConfig::builder()
-        .feature_dim(8)
-        .gnn(grimp_gnn::GnnConfig {
+    GrimpConfig {
+        feature_dim: 8,
+        gnn: grimp_gnn::GnnConfig {
             layers: 2,
             hidden: 8,
             ..Default::default()
-        })
-        .merge_hidden(16)
-        .embed_dim(8)
-        .max_epochs(6)
-        .patience(6)
-        .learning_rate(2e-2)
-        .max_train_samples_per_task(Some(400))
-        .seed(3)
-        .build()
+        },
+        merge_hidden: 16,
+        embed_dim: 8,
+        max_epochs: 6,
+        patience: 6,
+        lr: 2e-2,
+        max_train_samples_per_task: Some(400),
+        seed: 3,
+        ..GrimpConfig::paper()
+    }
+}
+
+/// Fit through `Pipeline`, then impute the training table: the imputed
+/// table and the fit's report.
+fn fit_impute(config: GrimpConfig, dirty: &Table) -> (Table, TrainReport) {
+    let fitted = Pipeline::new(config)
         .expect("valid config")
+        .fit(dirty)
+        .expect("fits");
+    let imputed = fitted.impute(dirty).expect("training table");
+    (imputed, fitted.report().clone())
 }
 
 /// Run one scenario end-to-end with a full trace and return the live report
@@ -175,7 +186,7 @@ fn malformed_csv_inputs_are_rejected_with_typed_errors() {
 
 #[test]
 fn bit_flipped_checkpoint_falls_back_to_the_previous_generation() {
-    use grimp::{Grimp, CHECKPOINT_FILE, CHECKPOINT_PREV_FILE};
+    use grimp::{CHECKPOINT_FILE, CHECKPOINT_PREV_FILE};
     use grimp_table::inject_mcar;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -189,8 +200,7 @@ fn bit_flipped_checkpoint_falls_back_to_the_previous_generation() {
     let mut cfg = chaos_config();
     cfg.checkpoint_dir = Some(dir.clone());
     cfg.checkpoint_every = 1;
-    let mut model = Grimp::new(cfg.clone());
-    let _ = model.fit_impute(&dirty);
+    fit_impute(cfg.clone(), &dirty);
 
     let current = dir.join(CHECKPOINT_FILE);
     let prev = dir.join(CHECKPOINT_PREV_FILE);
@@ -205,9 +215,7 @@ fn bit_flipped_checkpoint_falls_back_to_the_previous_generation() {
     std::fs::write(&current, &bytes).unwrap();
 
     cfg.resume = true;
-    let mut resumed = Grimp::new(cfg);
-    let imputed = resumed.fit_impute(&dirty);
-    let report = resumed.last_report().expect("report");
+    let (imputed, report) = fit_impute(cfg, &dirty);
 
     assert!(
         report.resumed_from_epoch.is_some(),

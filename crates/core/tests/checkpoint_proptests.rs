@@ -3,7 +3,7 @@
 //! floats), and an interrupted-then-resumed training run must produce the
 //! same table as an uninterrupted one, bit for bit.
 
-use grimp::{Grimp, GrimpConfig, TaskKind, TrainCheckpoint};
+use grimp::{GrimpConfig, Pipeline, TaskKind, TrainCheckpoint, TrainReport};
 use grimp_graph::FeatureSource;
 use grimp_table::{inject_mcar, ColumnKind, Schema, Table, Value};
 use grimp_tensor::{AdamState, Tensor};
@@ -155,6 +155,17 @@ fn resume_config(seed: u64, epochs: usize) -> GrimpConfig {
     }
 }
 
+/// Fit through `Pipeline`, then impute the training table: the imputed
+/// table and the fit's report.
+fn fit_impute(config: GrimpConfig, dirty: &Table) -> (Table, TrainReport) {
+    let fitted = Pipeline::new(config)
+        .expect("valid config")
+        .fit(dirty)
+        .expect("fits");
+    let imputed = fitted.impute(dirty).expect("training table");
+    (imputed, fitted.report().clone())
+}
+
 fn assert_bit_identical(a: &Table, b: &Table) {
     assert_eq!(a.n_rows(), b.n_rows());
     assert_eq!(a.n_columns(), b.n_columns());
@@ -171,7 +182,7 @@ fn assert_bit_identical(a: &Table, b: &Table) {
 }
 
 proptest! {
-    // fit_impute is expensive; a handful of (seed, split point) cases is
+    // a fit is expensive; a handful of (seed, split point) cases is
     // enough to cover resuming early, in the middle, and near the end.
     #![proptest_config(ProptestConfig::with_cases(3))]
 
@@ -181,7 +192,7 @@ proptest! {
         let mut dirty = training_table(40);
         inject_mcar(&mut dirty, 0.1, &mut StdRng::seed_from_u64(seed));
 
-        let reference = Grimp::new(resume_config(seed, EPOCHS)).fit_impute(&dirty);
+        let reference = fit_impute(resume_config(seed, EPOCHS), &dirty).0;
 
         let dir = std::env::temp_dir().join(format!(
             "grimp-resume-prop-{}-{seed}-{split}",
@@ -190,16 +201,19 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
 
         // phase 1: train only `split` epochs, checkpointing to disk
-        let cfg1 = resume_config(seed, split).with_checkpoint_dir(&dir);
-        let _ = Grimp::new(cfg1).fit_impute(&dirty);
+        let cfg1 = GrimpConfig {
+            checkpoint_dir: Some(dir.clone()),
+            ..resume_config(seed, split)
+        };
+        fit_impute(cfg1, &dirty);
 
         // phase 2: resume and finish the remaining epochs
-        let cfg2 = resume_config(seed, EPOCHS)
-            .with_checkpoint_dir(&dir)
-            .with_resume(true);
-        let mut model = Grimp::new(cfg2);
-        let resumed = model.fit_impute(&dirty);
-        let report = model.last_report().expect("fit_impute sets a report");
+        let cfg2 = GrimpConfig {
+            checkpoint_dir: Some(dir.clone()),
+            resume: true,
+            ..resume_config(seed, EPOCHS)
+        };
+        let (resumed, report) = fit_impute(cfg2, &dirty);
         prop_assert_eq!(report.resumed_from_epoch, Some(split));
 
         assert_bit_identical(&reference, &resumed);

@@ -5,7 +5,9 @@
 //! feature gate actually exports everything needed.
 #![cfg(feature = "fault-injection")]
 
-use grimp::{ColumnTier, FaultKind, FaultPlan, Grimp, GrimpConfig, TaskKind, TrainAnomaly};
+use grimp::{
+    ColumnTier, FaultKind, FaultPlan, GrimpConfig, Pipeline, TaskKind, TrainAnomaly, TrainReport,
+};
 use grimp_graph::FeatureSource;
 use grimp_table::{inject_mcar, ColumnKind, Schema, Table};
 use rand::rngs::StdRng;
@@ -25,6 +27,17 @@ fn training_table(rows: usize) -> Table {
         t.push_str_row(&[Some(&k), Some(&v), Some(&x)]);
     }
     t
+}
+
+/// Fit through `Pipeline`, then impute the training table: the imputed
+/// table and the fit's report.
+fn fit_impute(config: GrimpConfig, dirty: &Table) -> (Table, TrainReport) {
+    let fitted = Pipeline::new(config)
+        .expect("valid config")
+        .fit(dirty)
+        .expect("fits");
+    let imputed = fitted.impute(dirty).expect("training table");
+    (imputed, fitted.report().clone())
 }
 
 fn tiny_config() -> GrimpConfig {
@@ -58,9 +71,7 @@ fn feature_gated_gradient_fault_is_detected_and_recovered() {
         times: 1,
         kind: FaultKind::GradNan,
     });
-    let mut model = Grimp::new(cfg);
-    let imputed = model.fit_impute(&dirty);
-    let report = model.last_report().expect("fit_impute sets a report");
+    let (imputed, report) = fit_impute(cfg, &dirty);
 
     assert_eq!(report.recoveries, 1);
     assert!(matches!(
@@ -83,9 +94,7 @@ fn feature_gated_exhaustion_degrades_but_still_imputes() {
         times: usize::MAX,
         kind: FaultKind::ParamNan,
     });
-    let mut model = Grimp::new(cfg);
-    let imputed = model.fit_impute(&dirty);
-    let report = model.last_report().expect("fit_impute sets a report");
+    let (imputed, report) = fit_impute(cfg, &dirty);
 
     assert!(report.degraded_to_baseline);
     assert_eq!(report.recoveries, 2);
@@ -103,9 +112,7 @@ fn task_loss_fault_demotes_only_the_poisoned_column() {
         times: 1,
         kind: FaultKind::TaskLossNan(1),
     });
-    let mut model = Grimp::new(cfg);
-    let imputed = model.fit_impute(&dirty);
-    let report = model.last_report().expect("fit_impute sets a report");
+    let (imputed, report) = fit_impute(cfg, &dirty);
 
     // Exactly column 1 steps down the ladder; its neighbours keep their
     // trained heads and the run neither rolls back nor degrades globally.
@@ -149,9 +156,7 @@ fn checkpoint_write_fault_is_reported_and_training_completes() {
         times: 1,
         kind: FaultKind::CheckpointWrite,
     });
-    let mut model = Grimp::new(cfg);
-    let imputed = model.fit_impute(&dirty);
-    let report = model.last_report().expect("fit_impute sets a report");
+    let (imputed, report) = fit_impute(cfg, &dirty);
 
     assert_eq!(
         report.io_errors.len(),

@@ -48,30 +48,27 @@ fn delta_rows() -> Vec<WalRow> {
 }
 
 fn incr_config(dir: &Path) -> GrimpConfig {
-    GrimpConfig::builder()
-        .feature_dim(8)
-        .gnn(grimp_gnn::GnnConfig {
+    GrimpConfig {
+        feature_dim: 8,
+        gnn: grimp_gnn::GnnConfig {
             layers: 2,
             hidden: 8,
             ..Default::default()
-        })
-        .merge_hidden(16)
-        .embed_dim(8)
-        .max_epochs(5)
-        .patience(50)
-        .learning_rate(2e-2)
-        .seed(17)
-        .checkpointing(grimp::CheckpointPolicy {
-            dir: Some(dir.to_path_buf()),
-            every: 1,
-            ..Default::default()
-        })
-        .finetune(FinetuneConfig {
+        },
+        merge_hidden: 16,
+        embed_dim: 8,
+        max_epochs: 5,
+        patience: 50,
+        lr: 2e-2,
+        seed: 17,
+        checkpoint_dir: Some(dir.to_path_buf()),
+        checkpoint_every: 1,
+        finetune: FinetuneConfig {
             epochs: 3,
             drift_band: 0.25,
-        })
-        .build()
-        .expect("valid config")
+        },
+        ..GrimpConfig::paper()
+    }
 }
 
 fn fresh_dir(name: &str) -> PathBuf {

@@ -148,7 +148,8 @@ fn transductive_features_cannot_profile_unseen_tables() {
     let model = fit(
         GrimpConfig {
             max_epochs: 3,
-            ..config().with_features(FeatureSource::Random)
+            features: FeatureSource::Random,
+            ..config()
         },
         &train,
     );

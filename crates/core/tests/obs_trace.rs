@@ -31,21 +31,21 @@ fn dirty_table(n: usize, seed: u64) -> Table {
 }
 
 fn quick_config() -> GrimpConfig {
-    GrimpConfig::builder()
-        .feature_dim(16)
-        .gnn(grimp_gnn::GnnConfig {
+    GrimpConfig {
+        feature_dim: 16,
+        gnn: grimp_gnn::GnnConfig {
             layers: 2,
             hidden: 16,
             ..Default::default()
-        })
-        .merge_hidden(32)
-        .embed_dim(16)
-        .max_epochs(12)
-        .patience(12)
-        .learning_rate(2e-2)
-        .seed(7)
-        .build()
-        .expect("valid config")
+        },
+        merge_hidden: 32,
+        embed_dim: 16,
+        max_epochs: 12,
+        patience: 12,
+        lr: 2e-2,
+        seed: 7,
+        ..GrimpConfig::paper()
+    }
 }
 
 /// Fit + impute with a memory sink, returning (live report, events).

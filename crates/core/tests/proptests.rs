@@ -1,7 +1,7 @@
 //! Property-based tests of GRIMP's core machinery: training-vector batches,
 //! K-matrix construction, and the imputation contract on random tables.
 
-use grimp::{build_k_matrix, Grimp, GrimpConfig, KStrategy, Pipeline, SamplerConfig, VectorBatch};
+use grimp::{build_k_matrix, GrimpConfig, KStrategy, Pipeline, SamplerConfig, VectorBatch};
 use grimp_graph::{GraphConfig, TableGraph};
 use grimp_table::{check_imputation_contract, ColumnKind, FdSet, Imputer, Schema, Table};
 use proptest::prelude::*;
@@ -131,10 +131,10 @@ proptest! {
             embed_dim: 8,
             max_epochs: 4,
             patience: 2,
+            seed,
             ..GrimpConfig::fast()
-        }
-        .with_seed(seed);
-        let mut model = Grimp::new(cfg);
+        };
+        let mut model = Pipeline::new(cfg).expect("valid config");
         let imputed = model.impute(&t);
         prop_assert!(check_imputation_contract(&t, &imputed).is_ok());
         // categorical imputations come from the column's domain
@@ -158,9 +158,9 @@ proptest! {
             embed_dim: 8,
             max_epochs: 3,
             patience: 3,
+            seed,
             ..GrimpConfig::fast()
-        }
-        .with_seed(seed);
+        };
         let pipeline = Pipeline::new(cfg).expect("valid config");
         let fit = pipeline.fit(&t);
         prop_assert!(
@@ -209,9 +209,9 @@ proptest! {
             max_epochs: 3,
             patience: 3,
             sampler: Some(SamplerConfig { batch_rows: 4, fanout: 2 }),
+            seed,
             ..GrimpConfig::fast()
-        }
-        .with_seed(seed);
+        };
         let pipeline = Pipeline::new(cfg).expect("valid config");
         let fit = pipeline.fit(&t);
         prop_assert!(

@@ -8,8 +8,8 @@
 //! observed cells untouched, no panic) holds unconditionally.
 
 use grimp::{
-    ColumnTier, DownscaleRung, ErrorCategory, Grimp, GrimpConfig, GrimpError, Pipeline,
-    ShutdownFlag, TaskKind, CHECKPOINT_FILE, CHECKPOINT_PREV_FILE, LOCK_FILE,
+    ColumnTier, DownscaleRung, ErrorCategory, GrimpConfig, GrimpError, Pipeline, ShutdownFlag,
+    TaskKind, TrainReport, CHECKPOINT_FILE, CHECKPOINT_PREV_FILE, LOCK_FILE,
 };
 use grimp_graph::FeatureSource;
 use grimp_obs::{IoFaultKind, IoFaultPlan};
@@ -55,6 +55,17 @@ fn tiny_config() -> GrimpConfig {
     }
 }
 
+/// Fit through `Pipeline`, then impute the training table: the imputed
+/// table and the fit's report.
+fn fit_impute(config: GrimpConfig, dirty: &Table) -> (Table, TrainReport) {
+    let fitted = Pipeline::new(config)
+        .expect("valid config")
+        .fit(dirty)
+        .expect("fits");
+    let imputed = fitted.impute(dirty).expect("training table");
+    (imputed, fitted.report().clone())
+}
+
 fn dirty_table(rows: usize, seed: u64) -> Table {
     let mut t = functional_table(rows);
     inject_mcar(&mut t, 0.15, &mut StdRng::seed_from_u64(seed));
@@ -73,9 +84,7 @@ fn expired_deadline_stops_before_training_and_still_fills_every_cell() {
     let dirty = dirty_table(40, 2);
     let mut cfg = tiny_config();
     cfg.deadline_secs = Some(1e-12); // already expired at the first boundary
-    let mut model = Grimp::new(cfg);
-    let imputed = model.fit_impute(&dirty);
-    let report = model.last_report().expect("report");
+    let (imputed, report) = fit_impute(cfg, &dirty);
     assert!(report.deadline_hit, "deadline must register");
     assert_eq!(report.stopped_at_epoch, Some(0));
     assert_eq!(report.epochs_run, 0, "no epoch fits inside 1e-12 s");
@@ -92,12 +101,11 @@ fn expired_deadline_stops_before_training_and_still_fills_every_cell() {
 #[test]
 fn generous_deadline_changes_nothing() {
     let dirty = dirty_table(40, 2);
-    let reference = Grimp::new(tiny_config()).fit_impute(&dirty);
+    let reference = fit_impute(tiny_config(), &dirty).0;
     let mut cfg = tiny_config();
     cfg.deadline_secs = Some(3600.0);
-    let mut model = Grimp::new(cfg);
-    let governed = model.fit_impute(&dirty);
-    assert!(!model.last_report().expect("report").deadline_hit);
+    let (governed, report) = fit_impute(cfg, &dirty);
+    assert!(!report.deadline_hit);
     assert_eq!(
         to_csv_string(&reference),
         to_csv_string(&governed),
@@ -115,7 +123,7 @@ fn deadline_interrupt_at_every_epoch_resumes_bit_identically() {
     let dirty = dirty_table(40, 3);
     let base = tiny_config();
     let total = base.max_epochs;
-    let reference = Grimp::new(base.clone()).fit_impute(&dirty);
+    let reference = fit_impute(base.clone(), &dirty).0;
     let reference_csv = to_csv_string(&reference);
 
     for k in 1..total {
@@ -125,7 +133,7 @@ fn deadline_interrupt_at_every_epoch_resumes_bit_identically() {
         let mut phase1 = base.clone();
         phase1.max_epochs = k;
         phase1.checkpoint_dir = Some(dir.clone());
-        let _ = Grimp::new(phase1).fit_impute(&dirty);
+        fit_impute(phase1, &dirty);
 
         // Phase 2: resume under an expired deadline — stops at the first
         // epoch boundary and must impute from the checkpointed state.
@@ -133,9 +141,7 @@ fn deadline_interrupt_at_every_epoch_resumes_bit_identically() {
         phase2.checkpoint_dir = Some(dir.clone());
         phase2.resume = true;
         phase2.deadline_secs = Some(1e-12);
-        let mut deadline_model = Grimp::new(phase2);
-        let deadline_imputed = deadline_model.fit_impute(&dirty);
-        let report = deadline_model.last_report().expect("report");
+        let (deadline_imputed, report) = fit_impute(phase2, &dirty);
         assert!(report.deadline_hit, "epoch {k}: deadline must register");
         assert_eq!(report.stopped_at_epoch, Some(k));
         assert_eq!(report.resumed_from_epoch, Some(k));
@@ -146,9 +152,7 @@ fn deadline_interrupt_at_every_epoch_resumes_bit_identically() {
         let mut phase3 = base.clone();
         phase3.checkpoint_dir = Some(dir.clone());
         phase3.resume = true;
-        let mut model = Grimp::new(phase3);
-        let resumed = model.fit_impute(&dirty);
-        let report = model.last_report().expect("report");
+        let (resumed, report) = fit_impute(phase3, &dirty);
         assert_eq!(report.resumed_from_epoch, Some(k), "epoch {k}");
         assert_eq!(
             to_csv_string(&resumed),
@@ -166,9 +170,7 @@ fn shutdown_request_stops_at_the_next_boundary_and_fills_every_cell() {
     flag.request(); // "Ctrl-C" before training starts
     let mut cfg = tiny_config();
     cfg.shutdown = Some(flag);
-    let mut model = Grimp::new(cfg);
-    let imputed = model.fit_impute(&dirty);
-    let report = model.last_report().expect("report");
+    let (imputed, report) = fit_impute(cfg, &dirty);
     assert!(report.interrupted);
     assert!(!report.deadline_hit);
     assert_eq!(report.stopped_at_epoch, Some(0));
@@ -179,12 +181,11 @@ fn shutdown_request_stops_at_the_next_boundary_and_fills_every_cell() {
 #[test]
 fn unrequested_shutdown_flag_changes_nothing() {
     let dirty = dirty_table(40, 4);
-    let reference = Grimp::new(tiny_config()).fit_impute(&dirty);
+    let reference = fit_impute(tiny_config(), &dirty).0;
     let mut cfg = tiny_config();
     cfg.shutdown = Some(ShutdownFlag::new());
-    let mut model = Grimp::new(cfg);
-    let governed = model.fit_impute(&dirty);
-    assert!(!model.last_report().expect("report").interrupted);
+    let (governed, report) = fit_impute(cfg, &dirty);
+    assert!(!report.interrupted);
     assert_eq!(to_csv_string(&reference), to_csv_string(&governed));
 }
 
@@ -208,9 +209,7 @@ fn tight_memory_budget_downscales_and_still_fills_every_cell() {
 
     let mut cfg = tiny_config();
     cfg.memory_budget_mb = Some(1);
-    let mut model = Grimp::new(cfg);
-    let imputed = model.fit_impute(&t);
-    let report = model.last_report().expect("report");
+    let (imputed, report) = fit_impute(cfg, &t);
     assert!(
         !report.downscales.is_empty(),
         "a 1 MB budget must force downscaling"
@@ -234,9 +233,8 @@ fn generous_memory_budget_records_no_downscales() {
     let dirty = dirty_table(40, 6);
     let mut cfg = tiny_config();
     cfg.memory_budget_mb = Some(65_536);
-    let mut model = Grimp::new(cfg);
-    let _ = model.fit_impute(&dirty);
-    assert!(model.last_report().expect("report").downscales.is_empty());
+    let (_, report) = fit_impute(cfg, &dirty);
+    assert!(report.downscales.is_empty());
 }
 
 #[test]
@@ -339,13 +337,13 @@ fn the_lock_is_released_when_fit_finishes() {
     let mut cfg = tiny_config();
     cfg.max_epochs = 2;
     cfg.checkpoint_dir = Some(dir.clone());
-    let _ = Grimp::new(cfg.clone()).fit_impute(&dirty);
+    fit_impute(cfg.clone(), &dirty);
     assert!(
         !dir.join(LOCK_FILE).exists(),
         "lock must be released after fit"
     );
     // And a second run can take it again.
-    let _ = Grimp::new(cfg).fit_impute(&dirty);
+    fit_impute(cfg, &dirty);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -365,9 +363,7 @@ fn every_io_fault_kind_degrades_without_losing_the_imputation() {
         cfg.max_epochs = 4;
         cfg.checkpoint_dir = Some(dir.clone());
         cfg.io_fault = Some(plan);
-        let mut model = Grimp::new(cfg);
-        let imputed = model.fit_impute(&dirty);
-        let report = model.last_report().expect("report").clone();
+        let (imputed, report) = fit_impute(cfg, &dirty);
         check_imputation_contract(&dirty, &imputed)
             .unwrap_or_else(|e| panic!("{}: contract broken: {e}", kind.label()));
         assert_eq!(imputed.n_missing(), 0, "{}", kind.label());
@@ -416,7 +412,7 @@ fn torn_checkpoint_write_leaves_the_previous_generation_resumable() {
     let mut cfg = tiny_config();
     cfg.max_epochs = 2;
     cfg.checkpoint_dir = Some(dir.clone());
-    let _ = Grimp::new(cfg).fit_impute(&dirty);
+    fit_impute(cfg, &dirty);
     assert!(dir.join(CHECKPOINT_FILE).exists());
 
     // Phase 2: resume, but every checkpoint write after the lock tears
@@ -431,9 +427,7 @@ fn torn_checkpoint_write_leaves_the_previous_generation_resumable() {
         from_op: 2,
         times: usize::MAX,
     });
-    let mut model = Grimp::new(cfg);
-    let imputed = model.fit_impute(&dirty);
-    let report = model.last_report().expect("report");
+    let (imputed, report) = fit_impute(cfg, &dirty);
     assert_eq!(report.resumed_from_epoch, Some(2));
     assert!(!report.io_errors.is_empty(), "torn writes must be reported");
     assert!(
@@ -456,14 +450,9 @@ fn torn_checkpoint_write_leaves_the_previous_generation_resumable() {
     cfg.max_epochs = 6;
     cfg.checkpoint_dir = Some(dir.clone());
     cfg.resume = true;
-    let mut model = Grimp::new(cfg);
-    let resumed = model.fit_impute(&dirty);
+    let (resumed, report) = fit_impute(cfg, &dirty);
     assert!(
-        model
-            .last_report()
-            .expect("report")
-            .resumed_from_epoch
-            .is_some(),
+        report.resumed_from_epoch.is_some(),
         "resume must find a good generation"
     );
     assert_eq!(resumed.n_missing(), 0);
@@ -529,9 +518,7 @@ proptest! {
         cfg.max_epochs = 2;
         cfg.checkpoint_dir = Some(dir.clone());
         cfg.io_fault = Some(plan);
-        let mut model = Grimp::new(cfg);
-        let imputed = model.fit_impute(&t);
-        let report = model.last_report().expect("report");
+        let (imputed, report) = fit_impute(cfg, &t);
         prop_assert_eq!(imputed.n_missing(), 0, "kind {}", kind.label());
         if let Err(e) = check_imputation_contract(&t, &imputed) {
             panic!("{}: contract broken: {e}", kind.label());

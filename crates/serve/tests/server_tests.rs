@@ -35,21 +35,19 @@ fn small_table(n: usize) -> Table {
 fn quick_config(seed: u64, dir: &Path) -> GrimpConfig {
     GrimpConfig {
         checkpoint_dir: Some(dir.to_path_buf()),
-        ..GrimpConfig::builder()
-            .feature_dim(8)
-            .gnn(grimp_gnn::GnnConfig {
-                layers: 2,
-                hidden: 8,
-                ..Default::default()
-            })
-            .merge_hidden(16)
-            .embed_dim(8)
-            .max_epochs(8)
-            .patience(8)
-            .learning_rate(2e-2)
-            .seed(seed)
-            .build()
-            .unwrap()
+        feature_dim: 8,
+        gnn: grimp_gnn::GnnConfig {
+            layers: 2,
+            hidden: 8,
+            ..Default::default()
+        },
+        merge_hidden: 16,
+        embed_dim: 8,
+        max_epochs: 8,
+        patience: 8,
+        lr: 2e-2,
+        seed,
+        ..GrimpConfig::paper()
     }
 }
 

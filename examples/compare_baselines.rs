@@ -5,7 +5,7 @@
 //! # e.g. cargo run --release --example compare_baselines MM 0.2
 //! ```
 
-use grimp::{GnnMc, Grimp, GrimpConfig};
+use grimp::{GnnMc, GrimpConfig, Pipeline, TaskKind};
 use grimp_baselines::{
     AimNetConfig, AimNetLike, DataWigConfig, DataWigLike, EmbdiMc, EmbdiMcConfig, KnnImputer,
     MeanMode, Mice, MiceConfig, MissForest, MissForestConfig, TurlConfig, TurlSub,
@@ -40,13 +40,24 @@ fn main() {
         log.len()
     );
 
-    let cfg = GrimpConfig::fast().with_seed(0);
+    let cfg = GrimpConfig {
+        seed: 0,
+        ..GrimpConfig::fast()
+    };
+    let grimp = |config| Pipeline::new(config).expect("valid config");
     let roster: Vec<Box<dyn Imputer>> = vec![
-        Box::new(Grimp::new(
-            cfg.clone().with_features(FeatureSource::FastText),
-        )),
-        Box::new(Grimp::new(cfg.clone().with_features(FeatureSource::Embdi))),
-        Box::new(Grimp::new(cfg.clone().with_linear_tasks())),
+        Box::new(grimp(GrimpConfig {
+            features: FeatureSource::FastText,
+            ..cfg.clone()
+        })),
+        Box::new(grimp(GrimpConfig {
+            features: FeatureSource::Embdi,
+            ..cfg.clone()
+        })),
+        Box::new(grimp(GrimpConfig {
+            task_kind: TaskKind::Linear,
+            ..cfg.clone()
+        })),
         Box::new(GnnMc::new(cfg)),
         Box::new(MissForest::new(MissForestConfig::default())),
         Box::new(AimNetLike::new(AimNetConfig::default())),

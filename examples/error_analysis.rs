@@ -9,7 +9,7 @@
 //! cargo run --release --example error_analysis
 //! ```
 
-use grimp::{Grimp, GrimpConfig};
+use grimp::{GrimpConfig, Pipeline};
 use grimp_baselines::{KnnImputer, MeanMode, MissForest, MissForestConfig};
 use grimp_metrics::per_value_errors;
 use grimp_table::{inject_mcar, ColumnKind, Imputer, Schema, Table};
@@ -57,7 +57,13 @@ fn main() {
         Box::new(MeanMode),
         Box::new(KnnImputer::new(5)),
         Box::new(MissForest::new(MissForestConfig::default())),
-        Box::new(Grimp::new(GrimpConfig::fast().with_seed(3))),
+        Box::new(
+            Pipeline::new(GrimpConfig {
+                seed: 3,
+                ..GrimpConfig::fast()
+            })
+            .expect("valid config"),
+        ),
     ];
     for mut algo in roster {
         let imputed = algo.impute(&dirty);

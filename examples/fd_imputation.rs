@@ -9,7 +9,7 @@
 //! cargo run --release --example fd_imputation
 //! ```
 
-use grimp::{Grimp, GrimpConfig, KStrategy};
+use grimp::{GrimpConfig, KStrategy, Pipeline};
 use grimp_baselines::{FdRepair, MissForest, MissForestConfig};
 use grimp_datasets::{generate, DatasetId};
 use grimp_metrics::evaluate;
@@ -44,9 +44,13 @@ fn main() {
     let log = inject_mcar(&mut dirty, 0.20, &mut StdRng::seed_from_u64(1));
     println!("\ninjected {} missing cells (20% MCAR)\n", log.len());
 
-    let grimp_a_cfg = GrimpConfig::fast()
-        .with_seed(0)
-        .with_k_strategy(KStrategy::WeakDiagonalFd);
+    let grimp_a = Pipeline::new(GrimpConfig {
+        seed: 0,
+        k_strategy: KStrategy::WeakDiagonalFd,
+        ..GrimpConfig::fast()
+    })
+    .expect("valid config")
+    .with_fds(tax.fds.clone());
     let algorithms: Vec<Box<dyn Imputer>> = vec![
         Box::new(FdRepair::new(tax.fds.clone())),
         Box::new(MissForest::new(MissForestConfig::default())),
@@ -54,7 +58,7 @@ fn main() {
             MissForestConfig::default(),
             tax.fds.clone(),
         )),
-        Box::new(Grimp::with_fds(grimp_a_cfg, tax.fds.clone())),
+        Box::new(grimp_a),
     ];
 
     println!(

@@ -7,7 +7,7 @@
 //! cargo run --release --example federated
 //! ```
 
-use grimp::{FederatedConfig, FederatedGrimp, Grimp, GrimpConfig};
+use grimp::{FederatedConfig, FederatedGrimp, GrimpConfig, Pipeline};
 use grimp_datasets::{generate, DatasetId};
 use grimp_metrics::evaluate;
 use grimp_table::{inject_mcar, Imputer, Schema, Table, Value};
@@ -41,12 +41,12 @@ fn main() {
     let base = GrimpConfig {
         max_epochs: 40,
         patience: 40,
+        seed: 0,
         ..GrimpConfig::fast()
-    }
-    .with_seed(0);
+    };
 
     // centralized reference: one model sees the whole table
-    let mut central = Grimp::new(base.clone());
+    let mut central = Pipeline::new(base.clone()).expect("valid config");
     let central_acc = evaluate(&clean, &central.impute(&dirty), &log)
         .accuracy()
         .unwrap();
@@ -75,7 +75,7 @@ fn main() {
         let row: Vec<Value> = (0..dirty.n_columns()).map(|j| dirty.get(i, j)).collect();
         shard.push_value_row(&row);
     }
-    let mut lonely = Grimp::new(base);
+    let mut lonely = Pipeline::new(base).expect("valid config");
     let lonely_imputed = lonely.impute(&shard);
     // evaluate party 0's shard cells only
     let mut correct = 0usize;

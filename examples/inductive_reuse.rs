@@ -41,7 +41,10 @@ fn main() {
     inject_mcar(&mut train_dirty, 0.10, &mut StdRng::seed_from_u64(1));
 
     // 1. hyperparameter tuning on the self-supervised validation signal
-    let base = GrimpConfig::fast().with_seed(0);
+    let base = GrimpConfig {
+        seed: 0,
+        ..GrimpConfig::fast()
+    };
     let (best, probes) = select_config(
         &train_dirty,
         &tax.fds,

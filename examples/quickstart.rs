@@ -42,14 +42,15 @@ fn main() {
     );
 
     // GRIMP is self-supervised: it trains on the dirty table itself. The
-    // builder validates the configuration; the Pipeline separates the fit
-    // from (possibly many) imputations; the sink records a structured
-    // trace of everything the run did.
-    let config = grimp::GrimpConfigBuilder::from_config(GrimpConfig::fast())
-        .seed(42)
-        .build()
-        .expect("valid config");
-    let pipeline = Pipeline::new(config).expect("validated config");
+    // configuration is a struct literal over a preset; the Pipeline
+    // validates it and separates the fit from (possibly many)
+    // imputations; the sink records a structured trace of everything the
+    // run did.
+    let config = GrimpConfig {
+        seed: 42,
+        ..GrimpConfig::fast()
+    };
+    let pipeline = Pipeline::new(config).expect("valid config");
     let mut sink = MemorySink::new();
     let model = pipeline
         .fit_traced(&dirty, &mut sink)

@@ -8,10 +8,10 @@
 //! use grimp_repro::prelude::*;
 //!
 //! let dirty = read_csv_str("a,b\nx,1\ny,\nx,1\n").unwrap();
-//! let config = GrimpConfigBuilder::from_config(GrimpConfig::fast())
-//!     .seed(0)
-//!     .build()
-//!     .unwrap();
+//! let config = GrimpConfig {
+//!     seed: 0,
+//!     ..GrimpConfig::fast()
+//! };
 //! let model = Pipeline::new(config).unwrap().fit(&dirty).unwrap();
 //! let imputed = model.impute(&dirty).unwrap();
 //! assert_eq!(imputed.n_missing(), 0);
@@ -32,9 +32,8 @@ pub use grimp_tensor as tensor;
 /// The types most imputation programs need.
 pub mod prelude {
     pub use grimp::{
-        CheckpointPolicy, ColumnTier, ConfigError, EpochStats, ErrorCategory, FittedModel, Grimp,
-        GrimpConfig, GrimpConfigBuilder, GrimpError, KStrategy, Pipeline, ResourceLimits,
-        SamplerConfig, TaskKind, TrainReport,
+        ColumnTier, ConfigError, EpochStats, ErrorCategory, FinetuneConfig, FittedModel,
+        GrimpConfig, GrimpError, KStrategy, Pipeline, SamplerConfig, TaskKind, TrainReport,
     };
     pub use grimp_metrics::{dataset_stats, evaluate};
     pub use grimp_obs::{EventKind, EventSink, JsonlSink, MemorySink, NullSink};
@@ -43,3 +42,9 @@ pub mod prelude {
         inject_mcar, inject_mnar, inject_typos, ColumnKind, FdSet, Imputer, Schema, Table, Value,
     };
 }
+
+/// README.md's Rust examples, compiled and run as doctests so the
+/// documented API cannot drift from the real one.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -1,12 +1,12 @@
 //! Failure-injection and degenerate-input integration tests: every imputer
 //! must behave sensibly on pathological tables.
 
-use grimp::{Grimp, GrimpConfig};
+use grimp::{GrimpConfig, Pipeline};
 use grimp_baselines::{KnnImputer, MeanMode, Mice, MiceConfig, MissForest, MissForestConfig};
 use grimp_table::{ColumnKind, Imputer, Schema, Table, Value};
 
-fn tiny_grimp() -> Grimp {
-    Grimp::new(GrimpConfig {
+fn tiny_grimp() -> Pipeline {
+    Pipeline::new(GrimpConfig {
         feature_dim: 8,
         gnn: grimp_gnn::GnnConfig {
             layers: 1,
@@ -19,6 +19,7 @@ fn tiny_grimp() -> Grimp {
         patience: 2,
         ..GrimpConfig::fast()
     })
+    .expect("valid config")
 }
 
 fn roster() -> Vec<Box<dyn Imputer>> {

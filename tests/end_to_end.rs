@@ -1,7 +1,7 @@
 //! End-to-end integration tests: the full pipeline (generate → corrupt →
 //! impute → evaluate) across crates, for every imputer in the workspace.
 
-use grimp::{GnnMc, Grimp, GrimpConfig};
+use grimp::{GnnMc, GrimpConfig, Pipeline, TaskKind};
 use grimp_baselines::{
     AimNetConfig, AimNetLike, DataWigConfig, DataWigLike, EmbdiMc, EmbdiMcConfig, KnnImputer,
     MeanMode, Mice, MiceConfig, MissForest, MissForestConfig, TurlConfig, TurlSub,
@@ -27,7 +27,7 @@ fn head(table: &Table, n: usize) -> Table {
     out
 }
 
-fn small_config() -> GrimpConfig {
+fn small_config(seed: u64) -> GrimpConfig {
     GrimpConfig {
         feature_dim: 16,
         gnn: grimp_gnn::GnnConfig {
@@ -40,8 +40,15 @@ fn small_config() -> GrimpConfig {
         max_epochs: 40,
         patience: 8,
         lr: 2e-2,
+        seed,
         ..GrimpConfig::fast()
     }
+}
+
+/// GRIMP over `config`: a `Pipeline` imputes as an `Imputer` by fitting
+/// the table it is given.
+fn pipeline(config: GrimpConfig) -> Pipeline {
+    Pipeline::new(config).expect("valid config")
 }
 
 /// Every imputer satisfies the contract and beats random guessing on a
@@ -53,14 +60,16 @@ fn all_imputers_run_the_full_pipeline() {
     let log = inject_mcar(&mut dirty, 0.15, &mut StdRng::seed_from_u64(1));
 
     let roster: Vec<Box<dyn Imputer>> = vec![
-        Box::new(Grimp::new(small_config().with_seed(0))),
-        Box::new(Grimp::new(
-            small_config()
-                .with_seed(0)
-                .with_features(FeatureSource::Embdi),
-        )),
-        Box::new(Grimp::new(small_config().with_seed(0).with_linear_tasks())),
-        Box::new(GnnMc::new(small_config().with_seed(0))),
+        Box::new(pipeline(small_config(0))),
+        Box::new(pipeline(GrimpConfig {
+            features: FeatureSource::Embdi,
+            ..small_config(0)
+        })),
+        Box::new(pipeline(GrimpConfig {
+            task_kind: TaskKind::Linear,
+            ..small_config(0)
+        })),
+        Box::new(GnnMc::new(small_config(0))),
         Box::new(MissForest::new(MissForestConfig::default())),
         Box::new(AimNetLike::new(AimNetConfig {
             epochs: 40,
@@ -111,7 +120,7 @@ fn grimp_beats_the_mode_floor() {
     let mut dirty = clean.clone();
     let log = inject_mcar(&mut dirty, 0.20, &mut StdRng::seed_from_u64(2));
 
-    let mut grimp = Grimp::new(small_config().with_seed(1));
+    let mut grimp = pipeline(small_config(1));
     let grimp_acc = evaluate(&clean, &grimp.impute(&dirty), &log)
         .accuracy()
         .unwrap();
@@ -133,7 +142,7 @@ fn pipeline_survives_fifty_percent_missingness() {
     let log = inject_mcar(&mut dirty, 0.50, &mut StdRng::seed_from_u64(3));
     assert!((dirty.missing_fraction() - 0.5).abs() < 0.01);
 
-    let mut grimp = Grimp::new(small_config().with_seed(2));
+    let mut grimp = pipeline(small_config(2));
     let imputed = grimp.impute(&dirty);
     check_imputation_contract(&dirty, &imputed).unwrap();
     let eval = evaluate(&clean, &imputed, &log);
@@ -155,7 +164,7 @@ fn multiple_missing_values_in_one_row() {
             dirty.set(i, j, Value::Null);
         }
     }
-    let mut grimp = Grimp::new(small_config().with_seed(3));
+    let mut grimp = pipeline(small_config(3));
     let imputed = grimp.impute(&dirty);
     assert_eq!(imputed.n_missing(), 0);
     // the per-column domains must be respected even for fully-masked slots
@@ -174,8 +183,8 @@ fn imputation_is_deterministic_per_seed() {
     let mut dirty = clean.clone();
     inject_mcar(&mut dirty, 0.2, &mut StdRng::seed_from_u64(4));
 
-    let a = Grimp::new(small_config().with_seed(9)).impute(&dirty);
-    let b = Grimp::new(small_config().with_seed(9)).impute(&dirty);
+    let a = pipeline(small_config(9)).impute(&dirty);
+    let b = pipeline(small_config(9)).impute(&dirty);
     assert_eq!(a, b, "GRIMP must be deterministic per seed");
 
     let a = MissForest::new(MissForestConfig {

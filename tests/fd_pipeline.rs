@@ -1,7 +1,7 @@
 //! Integration tests of the FD-aware pipeline (paper §4.3): FD-REPAIR,
 //! FUNFOREST and GRIMP-A on generated Tax data whose FDs hold exactly.
 
-use grimp::{Grimp, GrimpConfig, KStrategy};
+use grimp::{GrimpConfig, KStrategy, Pipeline};
 use grimp_baselines::{FdRepair, MissForest, MissForestConfig};
 use grimp_datasets::{generate, DatasetId};
 use grimp_metrics::evaluate;
@@ -119,12 +119,16 @@ fn grimp_a_consumes_fds_and_imputes_conclusions() {
         embed_dim: 16,
         max_epochs: 50,
         patience: 10,
+        seed: 0,
+        k_strategy: KStrategy::WeakDiagonalFd,
         ..GrimpConfig::fast()
-    }
-    .with_seed(0)
-    .with_k_strategy(KStrategy::WeakDiagonalFd);
-    let mut model = Grimp::with_fds(cfg, tax.fds.clone());
-    let imputed = model.impute(&dirty);
+    };
+    let fitted = Pipeline::new(cfg)
+        .unwrap()
+        .with_fds(tax.fds.clone())
+        .fit(&dirty)
+        .unwrap();
+    let imputed = fitted.impute(&dirty).unwrap();
     let eval = evaluate(&clean, &imputed, &log);
     // city/state/region are functions of zip: with FD-weighted attention
     // the conclusion columns should be imputed well above chance.

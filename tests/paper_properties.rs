@@ -2,7 +2,7 @@
 //! claims: self-supervision (no clean data), inductive graph behavior,
 //! error-analysis shape, and the Fig. 4 / Fig. 5 training-corpus semantics.
 
-use grimp::{Grimp, GrimpConfig};
+use grimp::{GrimpConfig, Pipeline};
 use grimp_datasets::{generate, DatasetId};
 use grimp_graph::{GraphConfig, TableGraph};
 use grimp_metrics::{dataset_stats, evaluate, per_value_errors};
@@ -91,8 +91,8 @@ fn typo_noise_has_bounded_impact() {
     let run = |table: &Table, seed: u64| -> f64 {
         let mut dirty = table.clone();
         let log = inject_mcar(&mut dirty, 0.05, &mut StdRng::seed_from_u64(seed));
-        let mut model = Grimp::new(small_config().with_seed(0));
-        let imputed = model.impute(&dirty);
+        let fitted = Pipeline::new(small_config()).unwrap().fit(&dirty).unwrap();
+        let imputed = fitted.impute(&dirty).unwrap();
         evaluate(table, &imputed, &log).accuracy().unwrap_or(0.0)
     };
     let acc_clean = run(&clean, 10);
@@ -161,9 +161,15 @@ fn no_clean_subset_is_required() {
         dirty.set(i, i % dirty.n_columns(), Value::Null);
     }
     assert!((0..dirty.n_rows()).all(|i| { (0..dirty.n_columns()).any(|j| dirty.is_missing(i, j)) }));
-    let mut model = Grimp::new(small_config().with_seed(5));
-    let imputed = model.impute(&dirty);
+    let config = GrimpConfig {
+        seed: 5,
+        ..small_config()
+    };
+    let fitted = Pipeline::new(config).unwrap().fit(&dirty).unwrap();
+    let imputed = fitted.impute(&dirty).unwrap();
     assert_eq!(imputed.n_missing(), 0);
-    let report = model.last_report().unwrap();
-    assert!(report.epochs_run > 0, "training must have happened");
+    assert!(
+        fitted.report().epochs_run > 0,
+        "training must have happened"
+    );
 }
