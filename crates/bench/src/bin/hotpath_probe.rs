@@ -216,8 +216,9 @@ fn assert_backend_parity(dirty: &Table, label: &str, serial: GrimpConfig, parall
 }
 
 /// Best-of-REPS fully traced run (every event recorded in a `MemorySink`),
-/// cross-checked against the event-stream replay. Returns the mode result
-/// plus the event count of one run.
+/// cross-checked against the event-stream replay. Like [`fit_impute`], a
+/// run is the fit plus an impute of the training table, both traced into
+/// the same sink. Returns the mode result plus the event count of one run.
 fn run_traced(dirty: &Table) -> (ModeResult, usize) {
     let pipeline = Pipeline::new(probe_config()).expect("probe config is valid");
     let mut best: Option<ModeResult> = None;
@@ -227,7 +228,13 @@ fn run_traced(dirty: &Table) -> (ModeResult, usize) {
         let fitted = pipeline
             .fit_traced(dirty, &mut sink)
             .expect("probe table has columns");
-        let report = fitted.report();
+        let start = Instant::now();
+        fitted
+            .impute_traced(dirty, &mut sink)
+            .expect("training table");
+        let impute_seconds = start.elapsed().as_secs_f64();
+        let mut report = fitted.report().clone();
+        report.seconds += impute_seconds;
         let replayed = TrainReport::from_events(sink.events());
         assert_eq!(
             replayed.train_losses(),
@@ -236,7 +243,7 @@ fn run_traced(dirty: &Table) -> (ModeResult, usize) {
         );
         assert_eq!(replayed.epochs_run, report.epochs_run);
         events = sink.len();
-        let result = mode_result(report);
+        let result = mode_result(&report);
         if best.as_ref().is_none_or(|b| result.seconds < b.seconds) {
             best = Some(result);
         }

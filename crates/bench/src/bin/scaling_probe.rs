@@ -255,7 +255,6 @@ fn run_append() -> AppendResult {
 
     let mut cfg = probe_config();
     cfg.checkpoint_dir = Some(dir.clone());
-    cfg.checkpoint_every = 1;
     cfg.finetune = FinetuneConfig {
         epochs: 2,
         drift_band: 0.25,

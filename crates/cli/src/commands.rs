@@ -229,7 +229,8 @@ COMMANDS:
              POST /panic fault route for testing this isolation)
              the model is restored once from DIR (written by a fit with
              the same --algo/--seed/--paper/--threads) and shared by all
-             --workers; when a trainer rotates a new checkpoint
+             --workers; a POST /append swaps in the model its fine-tune
+             returned; when another process rotates a new checkpoint
              generation in, the watcher restores it once and swaps it in
              (a model_reloaded trace event records the swap) — in-flight
              requests finish on the old model, and a generation that
@@ -809,8 +810,13 @@ fn cmd_append(args: &Args, out: &mut dyn Write) -> Result<i32, CliError> {
 fn cmd_corrupt(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     args.check_known(&["rate", "mechanism", "seed", "o", "truth"])?;
     let input = args.require_positional(0, "input CSV path")?;
-    let mut table = load(input)?;
     let rate = args.opt_parse("rate", 0.2f64)?;
+    if !(0.0..=1.0).contains(&rate) {
+        return Err(CliError::config(format!(
+            "--rate must be a fraction in [0, 1], got {rate}"
+        )));
+    }
+    let mut table = load(input)?;
     let seed = args.opt_parse("seed", 0u64)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let log = match args.opt("mechanism").unwrap_or("mcar") {
@@ -1358,7 +1364,6 @@ fn chaos_append(out: &mut dyn Write, small: &Table, seed: u64) -> Result<usize, 
         let preset = chaos_config(seed, 3);
         new_pipeline(GrimpConfig {
             checkpoint_dir: Some(dir.to_path_buf()),
-            checkpoint_every: 1,
             finetune: FinetuneConfig {
                 epochs: 2,
                 drift_band: 0.25,

@@ -85,6 +85,21 @@ fn unwritable_output_path_is_an_io_error() {
 }
 
 #[test]
+fn corrupt_rate_outside_zero_one_is_a_config_error() {
+    let clean = tmpfile("corrupt-rate.csv", "a,b\nx,1\ny,2\n");
+    for rate in ["1.5", "NaN", "-0.1"] {
+        let out = grimp(&["corrupt", clean.to_str().unwrap(), "--rate", rate]);
+        assert_eq!(out.status.code(), Some(2), "--rate {rate}: {out:?}");
+        let line = stderr_line(&out);
+        assert!(line.starts_with("error: "), "{line}");
+        assert!(
+            line.contains("--rate must be a fraction in [0, 1]"),
+            "{line}"
+        );
+    }
+}
+
+#[test]
 fn zero_deadline_is_a_config_error() {
     let dirty = tmpfile("zero-deadline.csv", "a,b\nx,1\ny,\n");
     let out = grimp(&[

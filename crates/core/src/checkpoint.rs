@@ -68,6 +68,19 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// The CRC-32 a checkpoint file stores in its footer: the checksum of its
+/// payload, and so the identity of its generation. The CRC-32 of a whole
+/// file cannot serve: a message followed by its own little-endian CRC-32
+/// always checksums to the constant `0x2144DF1C`. `None` when `bytes` is
+/// too short to hold a footer; the footer is not verified here
+/// ([`TrainCheckpoint::from_bytes`] does that).
+pub fn stored_crc(bytes: &[u8]) -> Option<u32> {
+    let at = bytes.len().checked_sub(4)?;
+    let mut footer = [0u8; 4];
+    footer.copy_from_slice(&bytes[at..]);
+    Some(u32::from_le_bytes(footer))
+}
+
 /// A complete, resumable snapshot of the training loop.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TrainCheckpoint {
@@ -135,14 +148,9 @@ impl TrainCheckpoint {
                 return Err(CheckpointError::UnsupportedVersion(version));
             }
         }
-        let footer_at = bytes
-            .len()
-            .checked_sub(4)
+        let stored = stored_crc(bytes)
             .ok_or_else(|| CheckpointError::Corrupt("too short for a CRC-32 footer".into()))?;
-        let payload = &bytes[..footer_at];
-        let mut stored = [0u8; 4];
-        stored.copy_from_slice(&bytes[footer_at..]);
-        let stored = u32::from_le_bytes(stored);
+        let payload = &bytes[..bytes.len() - 4];
         let computed = crc32(payload);
         if computed != stored {
             return Err(CheckpointError::Corrupt(format!(
@@ -274,6 +282,18 @@ mod tests {
         let back = TrainCheckpoint::from_bytes(&ck.to_bytes()).unwrap();
         assert_eq!(back.best_val, f32::INFINITY);
         assert!(back.best_params.is_none());
+    }
+
+    #[test]
+    fn the_stored_footer_tells_generations_apart_and_the_whole_file_crc_does_not() {
+        let a = sample().to_bytes();
+        let mut later = sample();
+        later.epoch += 10;
+        let b = later.to_bytes();
+        assert_eq!(stored_crc(&a), Some(crc32(&a[..a.len() - 4])));
+        assert_ne!(stored_crc(&a), stored_crc(&b));
+        assert_eq!((crc32(&a), crc32(&b)), (0x2144_DF1C, 0x2144_DF1C));
+        assert_eq!(stored_crc(&a[..3]), None);
     }
 
     #[test]

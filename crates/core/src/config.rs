@@ -216,12 +216,9 @@ pub struct GrimpConfig {
     /// roll training back to the last good epoch (halving the learning rate
     /// each time) before the run degrades to the mode/mean baseline.
     pub max_recoveries: usize,
-    /// Write a disk checkpoint every this many completed epochs (only when
-    /// [`GrimpConfig::checkpoint_dir`] is set). Values below 1 behave as 1.
-    pub checkpoint_every: usize,
-    /// Directory for the training checkpoint file. `None` keeps
-    /// checkpointing purely in memory (rollback still works; resume does
-    /// not).
+    /// Directory for the training checkpoint file, written after every
+    /// completed epoch. `None` keeps checkpointing purely in memory
+    /// (rollback still works; resume does not).
     pub checkpoint_dir: Option<std::path::PathBuf>,
     /// Resume from the checkpoint in [`GrimpConfig::checkpoint_dir`] when
     /// one exists. An unreadable or corrupt checkpoint is reported in the
@@ -296,7 +293,6 @@ impl GrimpConfig {
             backend: BackendKind::Serial,
             max_grad_norm: Some(1e4),
             max_recoveries: 2,
-            checkpoint_every: 1,
             checkpoint_dir: None,
             resume: false,
             deadline_secs: None,
@@ -539,7 +535,6 @@ mod tests {
     fn robustness_defaults_leave_healthy_runs_unchanged() {
         let c = GrimpConfig::paper();
         assert_eq!(c.max_recoveries, 2);
-        assert_eq!(c.checkpoint_every, 1);
         assert!(c.checkpoint_dir.is_none());
         assert!(!c.resume);
         // the default clip threshold must sit far above healthy grad norms

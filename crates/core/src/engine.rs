@@ -474,7 +474,6 @@ impl Trainer {
             params: tape.snapshot_param_values(),
             adam: self.adam.export_state(),
         };
-        let checkpoint_every = cfg.checkpoint_every.max(1);
         let mut train_losses: Vec<Var> = Vec::new();
         while trainable
             && !self.report.degraded_to_baseline
@@ -663,10 +662,7 @@ impl Trainer {
             tape.snapshot_param_values_into(&mut last_good.params);
             self.adam.export_state_into(&mut last_good.adam);
 
-            if self.ckpt_path.is_some()
-                && !self.report.checkpoints_disabled
-                && self.state.epoch.is_multiple_of(checkpoint_every)
-            {
+            if self.ckpt_path.is_some() && !self.report.checkpoints_disabled {
                 let ck_span = trace.enter(names::CHECKPOINT_SAVE, epoch_idx);
                 match self.save_checkpoint(cfg, tape) {
                     Ok(n) => {

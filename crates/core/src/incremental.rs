@@ -5,14 +5,16 @@
 //! idempotent under replay:
 //!
 //! 1. **Log** — the appended rows are encoded into a [`WalSegment`] tagged
-//!    with the current checkpoint generation (its CRC-32 and epoch) and
-//!    published atomically as `grimp.wal` (see [`crate::wal`]). From this
-//!    point the delta is durable: a crash anywhere later replays it.
+//!    with the current checkpoint generation (the CRC-32 its footer stores,
+//!    and its epoch) and published atomically as `grimp.wal` (see
+//!    [`crate::wal`]). From this point the delta is durable: a crash
+//!    anywhere later replays it.
 //! 2. **Decide** — warm-start fine-tune when the appended rows introduce no
-//!    new categorical dictionary values (the task-head shapes are dictated
-//!    by dictionary widths, so the base checkpoint still fits the concat
-//!    model bit-for-bit) *and* the checkpoint generation on disk is the one
-//!    the WAL references — or one the fine-tune itself wrote mid-run.
+//!    new categorical dictionary values ([`grow_table`]; the task-head
+//!    shapes are dictated by dictionary widths, so the base checkpoint
+//!    still fits the concat model bit-for-bit) *and* the checkpoint
+//!    generation on disk is the one the WAL references — or one the
+//!    fine-tune itself wrote mid-run.
 //!    Anything else (new values, no checkpoint, a foreign or older
 //!    generation) falls back to a **full refit** of the concatenated table;
 //!    the WAL's base is then zeroed (another atomic publish) so a crashed
@@ -43,7 +45,7 @@ use grimp_obs::fs::{with_retry, IO_RETRY_ATTEMPTS};
 use grimp_obs::{crashpoint, names, EventSink, FaultFs, GrimpFs, RealFs, Trace};
 use grimp_table::{ColumnKind, FdSet, Table};
 
-use crate::checkpoint::{crc32, TrainCheckpoint, CHECKPOINT_FILE};
+use crate::checkpoint::{stored_crc, TrainCheckpoint, CHECKPOINT_FILE};
 use crate::config::{ConfigError, GrimpConfig};
 use crate::error::GrimpError;
 use crate::model::{fit_model, fit_model_delta, FittedModel};
@@ -125,16 +127,39 @@ pub fn table_to_wal_rows(t: &Table) -> Vec<WalRow> {
         .collect()
 }
 
-/// Read the current checkpoint, returning its whole-file CRC-32 and decoded
-/// form. `None` for missing or undecodable files — both mean "no usable
-/// base generation" and route the append to a full refit.
+/// The append refit rule: `base` with `rows` pushed onto it, and whether
+/// the rows grew a categorical dictionary. A grown dictionary widens that
+/// column's task head, so the base checkpoint no longer fits the grown
+/// model and the append refits from the data. Every cell is re-validated
+/// (width, numeric parse) on the way in.
+///
+/// # Errors
+/// [`GrimpError::Table`] for the first row that does not fit `base`'s
+/// schema.
+pub fn grow_table(base: &Table, rows: &[WalRow]) -> Result<(Table, bool), GrimpError> {
+    let mut grown = base.clone();
+    for row in rows {
+        let cells: Vec<Option<&str>> = row.iter().map(|c| c.as_deref()).collect();
+        grown.try_push_str_row(&cells)?;
+    }
+    let new_values = (0..base.n_columns()).any(|j| {
+        base.schema().column(j).kind == ColumnKind::Categorical
+            && grown.dictionary(j).len() != base.dictionary(j).len()
+    });
+    Ok((grown, new_values))
+}
+
+/// Read the current checkpoint, returning its identity (the payload CRC-32
+/// its footer stores) and decoded form. `None` for missing or undecodable
+/// files — both mean "no usable base generation" and route the append to
+/// a full refit.
 fn read_current_checkpoint(fs: &mut dyn GrimpFs, path: &Path) -> Option<(u32, TrainCheckpoint)> {
     if !fs.exists(path) {
         return None;
     }
     let bytes = fs.read(path).ok()?;
     let ck = TrainCheckpoint::from_bytes(&bytes).ok()?;
-    Some((crc32(&bytes), ck))
+    Some((stored_crc(&bytes)?, ck))
 }
 
 /// The append engine behind [`crate::Pipeline::append`]. See the module
@@ -255,14 +280,9 @@ pub(crate) fn append_model(
         let _ = trace.flush();
     }
 
-    // The concatenated table. `try_push_str_row` re-validates every cell
-    // (width, numeric parse), so a malformed request fails here as a typed
+    // The concatenated table. A malformed request fails here as a typed
     // data error — before any training — with the WAL still pending.
-    let mut concat = base.clone();
-    for row in &segment.rows {
-        let r: Vec<Option<&str>> = row.iter().map(|c| c.as_deref()).collect();
-        concat.try_push_str_row(&r)?;
-    }
+    let (concat, new_values) = grow_table(base, &segment.rows)?;
     let base_rows = base.n_rows();
 
     // Step 2 — decide. Fine-tune iff the shapes carry over (no categorical
@@ -271,10 +291,6 @@ pub(crate) fn append_model(
     // most the fine-tune target (a mid-fine-tune checkpoint of this very
     // append). An older or future generation means the directory serves
     // some other table state — refit from the data.
-    let new_values = (0..base.n_columns()).any(|j| {
-        base.schema().column(j).kind == ColumnKind::Categorical
-            && concat.dictionary(j).len() != base.dictionary(j).len()
-    });
     let target_epoch = segment.base.epoch + config.finetune.epochs as u64;
     let finetune = !new_values
         && segment.base.ckpt_crc != 0

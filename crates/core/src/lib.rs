@@ -78,7 +78,7 @@ pub use governor::{
     LOCK_FILE,
 };
 pub use grimp_tensor::BackendKind;
-pub use incremental::{table_to_wal_rows, AppendOutcome, AppendPath};
+pub use incremental::{grow_table, table_to_wal_rows, AppendOutcome, AppendPath};
 pub use mc::{GlobalDomain, GnnMc};
 pub use model::FittedModel;
 pub use params::{ParamCounts, ParamFormula};

@@ -84,9 +84,9 @@ pub(crate) fn variant_name(config: &GrimpConfig) -> &'static str {
 pub struct FittedModel {
     config: GrimpConfig,
     normalizer: Normalizer,
-    /// Normalized copy of the training table.
-    norm: Table,
     /// The original dirty training table (detects transductive imputes).
+    /// Normalization rewrites numerical cells only, so its dictionaries
+    /// are the ones the categorical heads predict into.
     train_dirty: Table,
     graph: TableGraph,
     /// The GNN, bound to the fitted graph.
@@ -126,6 +126,12 @@ impl FittedModel {
     /// The configuration the model was fitted with.
     pub fn config(&self) -> &GrimpConfig {
         &self.config
+    }
+
+    /// The dirty table the model was fitted on (or restored against):
+    /// [`FittedModel::impute`] of this table takes the transductive path.
+    pub fn training_table(&self) -> &Table {
+        &self.train_dirty
     }
 
     /// Whether training exhausted its recovery budget and imputation runs
@@ -337,7 +343,7 @@ impl FittedModel {
                                 let code = if seen {
                                     best as u32
                                 } else {
-                                    result.intern(j, &self.norm.dictionary(j)[best])
+                                    result.intern(j, &self.train_dirty.dictionary(j)[best])
                                 };
                                 result.set(i, j, Value::Cat(code));
                             }
@@ -732,7 +738,6 @@ impl Built {
         FittedModel {
             config: self.cfg,
             normalizer: enc.normalizer,
-            norm: enc.norm,
             train_dirty,
             graph: enc.graph,
             gnn,

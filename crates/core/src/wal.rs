@@ -41,8 +41,10 @@ pub const WAL_VERSION: u32 = 1;
 /// The checkpoint generation a WAL segment was written against.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WalBase {
-    /// CRC-32 of the checkpoint file's bytes at append time (`0` when no
-    /// checkpoint existed — the append then schedules a full fit).
+    /// Identity of the checkpoint at append time: the payload CRC-32 its
+    /// footer stores ([`crate::checkpoint::stored_crc`]), `0` when no
+    /// checkpoint existed — the append then schedules a full fit. A real
+    /// footer can also be `0` (odds 2⁻³²); such an append refits too.
     pub ckpt_crc: u32,
     /// Completed epochs of that checkpoint (`0` when none existed). The
     /// fine-tune target is `epoch + finetune.epochs`, so recovery after a

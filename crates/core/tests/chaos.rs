@@ -199,7 +199,6 @@ fn bit_flipped_checkpoint_falls_back_to_the_previous_generation() {
 
     let mut cfg = chaos_config();
     cfg.checkpoint_dir = Some(dir.clone());
-    cfg.checkpoint_every = 1;
     fit_impute(cfg.clone(), &dirty);
 
     let current = dir.join(CHECKPOINT_FILE);

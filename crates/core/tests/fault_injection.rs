@@ -150,7 +150,6 @@ fn checkpoint_write_fault_is_reported_and_training_completes() {
 
     let mut cfg = tiny_config();
     cfg.checkpoint_dir = Some(dir.clone());
-    cfg.checkpoint_every = 1;
     cfg.fault_injection = Some(FaultPlan {
         at_epoch: 2,
         times: 1,

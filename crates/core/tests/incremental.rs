@@ -8,10 +8,11 @@ use std::path::{Path, PathBuf};
 
 use grimp::{
     table_to_wal_rows, AppendPath, ErrorCategory, FinetuneConfig, GrimpConfig, GrimpError,
-    Pipeline, ShutdownFlag, TrainReport, WalBase, WalRow, WalSegment, CHECKPOINT_FILE,
+    Pipeline, ShutdownFlag, TrainReport, WalBase, WalRead, WalRow, WalSegment, CHECKPOINT_FILE,
     CHECKPOINT_PREV_FILE, WAL_APPLIED_FILE, WAL_FILE,
 };
 use grimp_obs::{names, MemorySink, RealFs};
+use grimp_table::csv::to_csv_string;
 use grimp_table::{ColumnKind, Schema, Table};
 
 /// Base table: two correlated categoricals plus a numerical, with a few
@@ -62,7 +63,6 @@ fn incr_config(dir: &Path) -> GrimpConfig {
         lr: 2e-2,
         seed: 17,
         checkpoint_dir: Some(dir.to_path_buf()),
-        checkpoint_every: 1,
         finetune: FinetuneConfig {
             epochs: 3,
             drift_band: 0.25,
@@ -232,14 +232,20 @@ fn empty_append_with_nothing_pending_trains_nothing_but_still_imputes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The generation identity of the checkpoint file on disk: its stored
+/// payload CRC-32.
+fn ckpt_identity(dir: &Path) -> u32 {
+    let bytes = std::fs::read(dir.join(CHECKPOINT_FILE)).expect("ckpt");
+    grimp::checkpoint::stored_crc(&bytes).expect("a footer")
+}
+
 /// Write a pending WAL tagged with the *current* on-disk generation, the
 /// way an interrupted append would have left it.
 fn plant_wal(dir: &Path, rows: &[WalRow], n_columns: usize) -> WalSegment {
-    let bytes = std::fs::read(dir.join(CHECKPOINT_FILE)).expect("ckpt");
-    let ck = grimp::TrainCheckpoint::from_bytes(&bytes).expect("decode");
+    let ck = grimp::TrainCheckpoint::load(&dir.join(CHECKPOINT_FILE)).expect("decode");
     let mut segment = WalSegment::new(
         WalBase {
-            ckpt_crc: grimp::checkpoint::crc32(&bytes),
+            ckpt_crc: ckpt_identity(dir),
             epoch: ck.epoch,
         },
         n_columns,
@@ -250,6 +256,75 @@ fn plant_wal(dir: &Path, rows: &[WalRow], n_columns: usize) -> WalSegment {
         .write(&mut fs, &dir.join(WAL_FILE))
         .expect("wal write");
     segment
+}
+
+#[test]
+fn a_wal_records_the_identity_of_the_generation_it_appends_to() {
+    let dir = fresh_dir("identity");
+    let base = base_table(45);
+    fit_base(&dir, &base);
+    let base_identity = ckpt_identity(&dir);
+
+    let pipeline = Pipeline::new(incr_config(&dir)).expect("validated");
+    let out = pipeline.append(&base, &delta_rows()).expect("append");
+    assert_eq!(out.path, AppendPath::Finetune);
+    let finetuned_identity = ckpt_identity(&dir);
+    assert_ne!(
+        base_identity, finetuned_identity,
+        "checkpoints at different epochs are different generations"
+    );
+
+    let mut fs = RealFs;
+    let WalRead::Segment { segment, .. } =
+        WalSegment::read(&mut fs, &dir.join(WAL_APPLIED_FILE)).expect("read the applied log")
+    else {
+        panic!("the append left an applied log");
+    };
+    assert_eq!(segment.base.ckpt_crc, base_identity);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A served append installs the model its fine-tune returned instead of
+/// restoring the checkpoint it wrote: the two must be the same model.
+#[test]
+fn the_finetuned_model_is_the_model_its_checkpoint_restores() {
+    let dir = fresh_dir("handover");
+    let base = base_table(45);
+    fit_base(&dir, &base);
+
+    let pipeline = Pipeline::new(incr_config(&dir)).expect("validated");
+    let out = pipeline.append(&base, &delta_rows()).expect("append");
+    assert_eq!(out.path, AppendPath::Finetune);
+    let ck = grimp::TrainCheckpoint::load(&dir.join(CHECKPOINT_FILE)).expect("final checkpoint");
+    let restored = pipeline.restore(&out.table, &ck).expect("restore");
+
+    assert_eq!(out.model.column_tiers(), restored.column_tiers());
+    assert_eq!(out.model.training_table(), restored.training_table());
+    let unseen = base_table(20);
+    let bits = |profile: Vec<Option<Vec<f32>>>| -> Vec<Option<Vec<u32>>> {
+        profile
+            .into_iter()
+            .map(|p| p.map(|v| v.into_iter().map(f32::to_bits).collect()))
+            .collect()
+    };
+    for (label, table) in [("grown", &out.table), ("unseen", &unseen)] {
+        let (a, b) = (
+            out.model.impute(table).expect("impute"),
+            restored.impute(table).expect("impute"),
+        );
+        assert_eq!(
+            to_csv_string(&a),
+            to_csv_string(&b),
+            "{label}: imputes differ"
+        );
+        let a = bits(out.model.attention_profile(table, 64).expect("profile"));
+        let b = bits(restored.attention_profile(table, 64).expect("profile"));
+        assert!(a.iter().any(Option::is_some), "{label}: attention tasks");
+        assert_eq!(a, b, "{label}: attention profiles differ");
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -470,7 +545,7 @@ fn kill_point_sweep_recovers_bit_identical_to_the_uninterrupted_run() {
     );
 
     // Kill points 1..epochs-1: simulate a kill -9 after fine-tune epoch k
-    // (checkpoint_every=1 makes each epoch durable; a kill mid-epoch loses
+    // (every epoch checkpoints, so each is durable; a kill mid-epoch loses
     // only the in-flight epoch, which resume replays identically) by
     // running the append with a k-epoch budget and putting its WAL back.
     for k in 1..3usize {

@@ -412,22 +412,20 @@ pub fn is_transient(e: &io::Error) -> bool {
 pub const IO_RETRY_ATTEMPTS: usize = 3;
 
 /// The deterministic extra wait added to retry number `attempt` when the
-/// base backoff is `delay_ms`: a pure function of `(seed, attempt)` in
-/// `[0, delay_ms / 4]` milliseconds. A fleet of replicas hammering the
-/// same flaky filesystem decorrelates by seed instead of doubling in
-/// lockstep, yet any single run replays its exact sleep schedule.
-pub fn retry_jitter(seed: u64, attempt: u64, delay_ms: u64) -> Duration {
+/// base backoff is `delay_ms`: a pure function of `attempt` in
+/// `[0, delay_ms / 4]` milliseconds, so every run replays its exact sleep
+/// schedule.
+pub fn retry_jitter(attempt: u64, delay_ms: u64) -> Duration {
     let quarter = delay_ms / 4;
     if quarter == 0 {
         return Duration::ZERO;
     }
-    Duration::from_millis(splitmix64(seed ^ attempt.wrapping_mul(0x9E37_79B9)) % (quarter + 1))
+    Duration::from_millis(splitmix64(attempt.wrapping_mul(0x9E37_79B9)) % (quarter + 1))
 }
 
 /// Run `f`, retrying transient IO errors up to `attempts` times with a
 /// deterministic doubling backoff (1 ms, 2 ms, 4 ms, … capped at 64 ms)
-/// plus the seed-0 [`retry_jitter`]. Non-transient errors return
-/// immediately.
+/// plus [`retry_jitter`]. Non-transient errors return immediately.
 pub fn with_retry<T, F: FnMut() -> io::Result<T>>(attempts: usize, f: F) -> io::Result<T> {
     with_retry_capped(attempts, None, f)
 }
@@ -442,20 +440,6 @@ pub fn with_retry<T, F: FnMut() -> io::Result<T>>(attempts: usize, f: F) -> io::
 pub fn with_retry_capped<T, F: FnMut() -> io::Result<T>>(
     attempts: usize,
     cap: Option<Duration>,
-    f: F,
-) -> io::Result<T> {
-    with_retry_seeded(attempts, cap, 0, f)
-}
-
-/// [`with_retry_capped`] with an explicit jitter seed: each backoff sleep
-/// is the doubling base delay plus [`retry_jitter`]`(seed, attempt, base)`.
-/// The same seed replays the same sleep schedule bit for bit, so
-/// fault-injection tests stay deterministic while differently-seeded
-/// replicas spread their retries apart.
-pub fn with_retry_seeded<T, F: FnMut() -> io::Result<T>>(
-    attempts: usize,
-    cap: Option<Duration>,
-    seed: u64,
     mut f: F,
 ) -> io::Result<T> {
     let attempts = attempts.max(1);
@@ -470,7 +454,7 @@ pub fn with_retry_seeded<T, F: FnMut() -> io::Result<T>>(
                 if cap.is_some_and(|cap| start.elapsed() >= cap) {
                     return Err(e);
                 }
-                let jitter = retry_jitter(seed, attempt as u64, delay_ms);
+                let jitter = retry_jitter(attempt as u64, delay_ms);
                 std::thread::sleep(Duration::from_millis(delay_ms) + jitter);
                 delay_ms = (delay_ms * 2).min(64);
             }
@@ -569,18 +553,16 @@ mod tests {
     }
 
     #[test]
-    fn retry_jitter_is_deterministic_bounded_and_seed_sensitive() {
+    fn retry_jitter_is_deterministic_and_bounded() {
         for attempt in 0..64u64 {
-            let a = retry_jitter(9, attempt, 64);
-            let b = retry_jitter(9, attempt, 64);
-            assert_eq!(a, b, "same seed and attempt must jitter identically");
+            let a = retry_jitter(attempt, 64);
+            let b = retry_jitter(attempt, 64);
+            assert_eq!(a, b, "the same attempt must jitter identically");
             assert!(a <= Duration::from_millis(16), "jitter stays in delay/4");
         }
-        // Different seeds decorrelate the fleet: at least one attempt differs.
-        assert!((0..64u64).any(|a| retry_jitter(9, a, 64) != retry_jitter(10, a, 64)));
         // Tiny delays degrade to zero jitter, keeping 1–2 ms backoffs tight.
         for delay in 0..4u64 {
-            assert_eq!(retry_jitter(1, 7, delay), Duration::ZERO);
+            assert_eq!(retry_jitter(7, delay), Duration::ZERO);
         }
     }
 

@@ -29,15 +29,19 @@
 //!   deadline, and [`Server::run`] reports whether the drain was clean.
 //! - **Hot reload.** A watcher thread polls the checkpoint file (with a
 //!   deterministic per-seed jitter so server fleets do not poll in
-//!   lockstep); when the trainer rotates a new generation in
+//!   lockstep); when another process rotates a new generation in
 //!   (CRC-validated), the watcher restores its model once, off the request
-//!   path, and swaps it in — in-flight requests always finish on the model
-//!   they started with, and a generation that fails to restore never
-//!   replaces the last good one.
+//!   path, against the served model's table and swaps it in — in-flight
+//!   requests always finish on the model they started with, and a
+//!   generation that fails to restore never replaces the last good one.
+//!   The watcher skips its poll while `/append` holds the append gate, and
+//!   drops a finished restore if an append started or swapped meanwhile:
+//!   the checkpoints an append writes are its own.
 //! - **Incremental append.** `POST /append` pushes CSV rows through the
 //!   WAL-backed incremental pipeline ([`Pipeline::append`]): the rows are
 //!   durable before any model work, the base checkpoint is fine-tuned,
-//!   and the served generation swaps to the grown table atomically.
+//!   and the served generation swaps atomically to the model the
+//!   fine-tune returned, which carries the grown table.
 //!   Concurrent appends are serialized; a conflicting pending append log
 //!   from a crashed run is `409`, as is a delta with new categorical
 //!   values (a refit cannot be recovered after a crash — that flow
@@ -58,9 +62,11 @@
 //!   append holds the gate or a drain is underway.
 //!
 //! [`FittedModel`] is immutable and `Send + Sync`, so the server holds one
-//! model per checkpoint generation behind an `Arc`: whatever moves the
-//! generation (bind, the watcher, `/append`) restores it once through
-//! [`Pipeline::restore_traced`] into the server's sink, and every worker
+//! model per generation behind an `Arc`, built once by whoever produced
+//! it: bind and the watcher restore a checkpoint through
+//! [`Pipeline::restore_traced`] into the server's sink, and `/append`
+//! installs the model its own fine-tune returned. The model carries the
+//! table it serves ([`FittedModel::training_table`]), and every worker
 //! imputes through it on a scratch tape of its own.
 
 #![warn(missing_docs)]
@@ -79,11 +85,11 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use grimp::checkpoint::{crc32, TrainCheckpoint, CHECKPOINT_FILE};
+use grimp::checkpoint::{crc32, stored_crc, TrainCheckpoint, CHECKPOINT_FILE};
 use grimp::{estimate_footprint, FittedModel, GrimpError, Pipeline, ShutdownFlag};
 use grimp_obs::{crashpoint, names, splitmix64, Event, EventSink, RealFs, Trace};
 use grimp_table::csv::{read_csv_str, to_csv_bytes};
-use grimp_table::{ColumnKind, Table};
+use grimp_table::Table;
 
 pub use fault::{FaultStream, SocketFaultKind, SocketFaultPlan};
 pub use http::{HttpError, Request};
@@ -159,7 +165,8 @@ impl Default for ServeConfig {
 
 /// Where the served model comes from: the pipeline and training table
 /// that reproduce its structure, plus the checkpoint directory a trainer
-/// rotates new generations into.
+/// rotates new generations into. The table is read once, by the bind's
+/// restore; from then on the served model carries its own.
 #[derive(Clone, Debug)]
 pub struct ModelSource {
     /// The validated pipeline whose configuration matches the fit that
@@ -250,14 +257,12 @@ struct Counters {
     panics: AtomicU64,
 }
 
-/// The served model generation: checkpoint bytes, the table they restore
-/// against, and the model restored from the two. Swapped together — after
-/// an append, the fine-tuned checkpoint only matches the *grown* table.
+/// The served model generation: the checkpoint bytes it stands for (the
+/// watcher restores only bytes that differ) and the model, which carries
+/// the table it serves. Swapped together.
 struct Current {
     /// Checkpoint bytes of the served model.
     blob: Vec<u8>,
-    /// The table the served model was fitted on.
-    train: Arc<Table>,
     /// The served model, shared by every worker.
     model: Arc<FittedModel>,
 }
@@ -265,7 +270,10 @@ struct Current {
 /// State shared by the accept loop, workers, and the watcher thread.
 struct Shared {
     cfg: ServeConfig,
-    source: ModelSource,
+    /// The structure-only pipeline restores run through.
+    pipeline: Pipeline,
+    /// Where `grimp.ckpt`, the WAL and the idempotency journal live.
+    checkpoint_dir: PathBuf,
     queue: Mutex<QueueState>,
     job_ready: Condvar,
     active_workers: Mutex<usize>,
@@ -302,6 +310,13 @@ impl Shared {
     fn current(&self) -> MutexGuard<'_, Current> {
         self.current.lock().unwrap_or_else(|p| p.into_inner())
     }
+
+    /// Whether a `POST /append` holds the append gate right now. Only
+    /// `WouldBlock` counts: a gate poisoned by a panicking handler is not
+    /// a running append.
+    fn append_running(&self) -> bool {
+        matches!(self.append_gate.try_lock(), Err(TryLockError::WouldBlock))
+    }
 }
 
 /// A bound-but-not-yet-running imputation server.
@@ -326,7 +341,12 @@ impl Server {
         shutdown: ShutdownFlag,
         sink: Box<dyn EventSink + Send>,
     ) -> Result<Server, GrimpError> {
-        let ckpt_path = source.checkpoint_dir.join(CHECKPOINT_FILE);
+        let ModelSource {
+            pipeline,
+            train,
+            checkpoint_dir,
+        } = source;
+        let ckpt_path = checkpoint_dir.join(CHECKPOINT_FILE);
         let bytes = std::fs::read(&ckpt_path).map_err(|e| GrimpError::Checkpoint {
             path: ckpt_path.clone(),
             source: e.into(),
@@ -338,9 +358,8 @@ impl Server {
         // Fail fast: a shape-mismatched checkpoint must be a startup
         // error, not a 500 on the first request.
         let sink = SharedSink::new(sink);
-        let model = source
-            .pipeline
-            .restore_traced(&source.train, &ck, &mut sink.clone())?;
+        let model = pipeline.restore_traced(&train, &ck, &mut sink.clone())?;
+        drop(train);
 
         let bind_err = |source: std::io::Error| GrimpError::Io {
             context: format!("binding {}", cfg.addr),
@@ -350,12 +369,12 @@ impl Server {
         let wake_addr = wake_addr(listener.local_addr().map_err(&bind_err)?);
         let current = Current {
             blob: bytes,
-            train: Arc::new(source.train.clone()),
             model: Arc::new(model),
         };
         let shared = Arc::new(Shared {
             cfg,
-            source,
+            pipeline,
+            checkpoint_dir,
             queue: Mutex::new(QueueState::default()),
             job_ready: Condvar::new(),
             active_workers: Mutex::new(0),
@@ -658,8 +677,10 @@ fn poll_jitter(seed: u64, polls: u64, reload_poll: Duration) -> Duration {
     Duration::from_millis(splitmix64(seed ^ polls.wrapping_mul(0x9E37_79B9)) % (quarter + 1))
 }
 
+/// Hot reload of checkpoints another process rotates in: the server's own
+/// appends install their models themselves.
 fn watcher_loop(shared: &Shared) {
-    let ckpt_path = shared.source.checkpoint_dir.join(CHECKPOINT_FILE);
+    let ckpt_path = shared.checkpoint_dir.join(CHECKPOINT_FILE);
     let mut polls: u64 = 0;
     // The last rotation that failed to restore, so a bad generation costs
     // one restore attempt rather than one per poll.
@@ -684,19 +705,22 @@ fn watcher_loop(shared: &Shared) {
             let mut trace = Trace::new(&mut sink);
             trace.counter(names::RELOAD_POLL, polls, jitter.as_millis() as u64);
         }
+        if shared.append_running() {
+            continue;
+        }
         let Ok(bytes) = std::fs::read(&ckpt_path) else {
             // Mid-rotation (tmp rename in flight) or deleted: keep the
             // current generation and try again next poll.
             continue;
         };
-        let (generation, train) = {
+        let (generation, served) = {
             let current = shared.current();
             if current.blob == bytes || rejected.as_ref() == Some(&bytes) {
                 continue;
             }
             (
                 shared.generation.load(Ordering::SeqCst),
-                Arc::clone(&current.train),
+                Arc::clone(&current.model),
             )
         };
         // CRC and structure validation happen before the restore: a torn
@@ -704,16 +728,18 @@ fn watcher_loop(shared: &Shared) {
         let Ok(ck) = TrainCheckpoint::from_bytes(&bytes) else {
             continue;
         };
-        let Some(model) = restore(shared, &train, &ck, generation + 1) else {
+        let Some(model) = restore(shared, served.training_table(), &ck, generation + 1) else {
             rejected = Some(bytes);
             continue;
         };
-        let crc = crc32(&bytes);
+        drop(served);
+        let identity = stored_crc(&bytes).unwrap_or_default();
         let generation = {
             let mut current = shared.current();
-            // An append moved the generation (and the table) while this
-            // model restored against the old one: the append's model wins.
-            if shared.generation.load(Ordering::SeqCst) != generation {
+            // An append began while this model restored (the file may be
+            // one of its checkpoints) or has swapped its own model in: the
+            // append's model wins.
+            if shared.append_running() || shared.generation.load(Ordering::SeqCst) != generation {
                 continue;
             }
             current.blob = bytes;
@@ -724,7 +750,7 @@ fn watcher_loop(shared: &Shared) {
         shared.counters.reloads.fetch_add(1, Ordering::SeqCst);
         let mut sink = shared.sink.clone();
         let mut trace = Trace::new(&mut sink);
-        trace.counter(names::MODEL_RELOADED, generation, u64::from(crc));
+        trace.counter(names::MODEL_RELOADED, generation, u64::from(identity));
     }
 }
 
@@ -741,7 +767,7 @@ fn restore(
 ) -> Option<FittedModel> {
     let mut sink = shared.sink.clone();
     let restored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        shared.source.pipeline.restore_traced(train, ck, &mut sink)
+        shared.pipeline.restore_traced(train, ck, &mut sink)
     }));
     let model = restored.ok().and_then(Result::ok);
     if model.is_none() {
@@ -965,11 +991,10 @@ fn stats(shared: &Shared) -> Outcome {
 /// new traffic from a balancer).
 fn readyz(shared: &Shared) -> Outcome {
     let draining = shared.draining.load(Ordering::SeqCst);
-    // Only WouldBlock means an append is actually running; a poisoned
-    // gate (a handler panicked mid-append) must not leave
+    // A poisoned gate (a handler panicked mid-append) must not leave
     // readiness stuck at 503 forever.
-    let append_in_progress = matches!(shared.append_gate.try_lock(), Err(TryLockError::WouldBlock));
-    let pending_wal = shared.source.checkpoint_dir.join(grimp::WAL_FILE).exists();
+    let append_in_progress = shared.append_running();
+    let pending_wal = shared.checkpoint_dir.join(grimp::WAL_FILE).exists();
     let generation = shared.generation.load(Ordering::SeqCst);
     let failed = shared.failed_reload.load(Ordering::SeqCst);
     let failed_json = match failed {
@@ -1013,7 +1038,7 @@ fn impute(
     // Memory admission happens before any model work, on the governor's
     // fit-footprint estimate for this table.
     if let Some(budget) = shared.cfg.memory_budget_bytes {
-        let need = estimate_footprint(&table, shared.source.pipeline.config()).total_bytes();
+        let need = estimate_footprint(&table, shared.pipeline.config()).total_bytes();
         if need > budget {
             shared.counters.over_budget.fetch_add(1, Ordering::SeqCst);
             trace.counter(names::REQUEST_OVER_BUDGET, req_id, need);
@@ -1046,8 +1071,8 @@ fn impute(
 
 /// `POST /append`: durably append the body's CSV rows to the served
 /// table through the WAL-backed incremental pipeline, then swap the
-/// served generation to the grown table and its fine-tuned checkpoint.
-/// The response body is the imputed grown table.
+/// served generation to the model the fine-tune returned, which carries
+/// the grown table. The response body is the imputed grown table.
 ///
 /// Appends are serialized through `append_gate` (a second concurrent one
 /// gets `503 + Retry-After`), and a pending append log from a crashed
@@ -1116,7 +1141,8 @@ fn append(
         }
     };
 
-    let train = Arc::clone(&shared.current().train);
+    let served = Arc::clone(&shared.current().model);
+    let train = served.training_table();
     let names_match = rows_table.n_columns() == train.n_columns()
         && (0..train.n_columns())
             .all(|j| rows_table.schema().column(j).name == train.schema().column(j).name);
@@ -1129,28 +1155,18 @@ fn append(
 
     // Build the concatenation once: the dictionary-growth check and the
     // memory admission both need base + delta.
-    let mut concat = (*train).clone();
-    for i in 0..rows_table.n_rows() {
-        let row: Vec<Option<String>> = (0..rows_table.n_columns())
-            .map(|j| (!rows_table.is_missing(i, j)).then(|| rows_table.display(i, j)))
-            .collect();
-        let r: Vec<Option<&str>> = row.iter().map(|c| c.as_deref()).collect();
-        if let Err(e) = concat.try_push_str_row(&r) {
-            return Outcome::text(400, format!("cannot append row {i}: {e}"));
-        }
-    }
+    let rows = grimp::table_to_wal_rows(&rows_table);
+    let (concat, grows_dictionary) = match grimp::grow_table(train, &rows) {
+        Ok(grown) => grown,
+        Err(e) => return Outcome::text(400, format!("cannot append these rows: {e}")),
+    };
 
     // The serve surface only accepts appends it can recover from. A delta
-    // that grows a categorical dictionary forces a full refit (same test
-    // as the incremental pipeline's decide step), and a refitted
-    // checkpoint no longer restores against the base table a respawned
-    // server starts from — a crash after the rotation would turn into a
-    // startup failure, not a replay. Those deltas belong to the offline
-    // `grimp append` flow.
-    let grows_dictionary = (0..train.n_columns()).any(|j| {
-        train.schema().column(j).kind == ColumnKind::Categorical
-            && concat.dictionary(j).len() != train.dictionary(j).len()
-    });
+    // that grows a categorical dictionary forces a full refit (the
+    // incremental pipeline's decide step), and a refitted checkpoint no
+    // longer restores against the base table a respawned server starts
+    // from — a crash after the rotation would turn into a startup failure,
+    // not a replay. Those deltas belong to the offline `grimp append` flow.
     if grows_dictionary {
         return Outcome::text(
             409,
@@ -1163,7 +1179,7 @@ fn append(
     // Memory admission on the *grown* table: the append fine-tunes over
     // base + delta, so that concatenation is what must fit.
     if let Some(budget) = shared.cfg.memory_budget_bytes {
-        let need = estimate_footprint(&concat, shared.source.pipeline.config()).total_bytes();
+        let need = estimate_footprint(&concat, shared.pipeline.config()).total_bytes();
         if need > budget {
             shared.counters.over_budget.fetch_add(1, Ordering::SeqCst);
             trace.counter(names::REQUEST_OVER_BUDGET, req_id, need);
@@ -1181,7 +1197,7 @@ fn append(
         // so journal access is too); the file is only read when the cache
         // is cold — process start or post-panic recovery.
         if gate.is_none() {
-            match idem::Journal::load(&shared.source.checkpoint_dir) {
+            match idem::Journal::load(&shared.checkpoint_dir) {
                 Ok(journal) => *gate = Some(journal),
                 Err(e) => return Outcome::text(500, format!("idempotency journal: {e}")),
             }
@@ -1245,14 +1261,13 @@ fn append(
     // The serving pipeline is structure-only; give the append run the
     // checkpoint directory so its WAL and fine-tuned generation land
     // where the watcher looks.
-    let mut cfg = shared.source.pipeline.config().clone();
-    cfg.checkpoint_dir = Some(shared.source.checkpoint_dir.clone());
+    let mut cfg = shared.pipeline.config().clone();
+    cfg.checkpoint_dir = Some(shared.checkpoint_dir.clone());
     let pipeline = match Pipeline::new(cfg) {
         Ok(p) => p,
         Err(e) => return Outcome::text(500, format!("append pipeline: {e}")),
     };
-    let rows = grimp::table_to_wal_rows(&rows_table);
-    match pipeline.append(&train, &rows) {
+    match pipeline.append(train, &rows) {
         Ok(outcome) => {
             let body = to_csv_bytes(&outcome.imputed);
             if let (Some(key), Some(j)) = (&idem_key, gate.as_mut()) {
@@ -1277,28 +1292,21 @@ fn append(
                 }
             }
             crashpoint::hit(crashpoint::GENERATION_SWAP);
-            // Swap the served generation: the grown table, plus whatever
-            // checkpoint the append left on disk with its model, restored
-            // here once. A file that does not read or restore is not fatal
-            // — the last good model keeps serving and the watcher retries
-            // — but the table moves either way.
-            let ckpt_path = shared.source.checkpoint_dir.join(CHECKPOINT_FILE);
-            let train = Arc::new(outcome.table);
-            let next = shared.generation.load(Ordering::SeqCst) + 1;
-            let rotated = std::fs::read(&ckpt_path).ok().and_then(|bytes| {
-                let ck = TrainCheckpoint::from_bytes(&bytes).ok()?;
-                Some((bytes, restore(shared, &train, &ck, next)?))
-            });
+            // Swap in the model the fine-tune returned: it imputed this
+            // response, and it carries the grown table. The checkpoint the
+            // append left is read only to record its bytes, so the watcher
+            // does not restore them again; if the read fails, the old bytes
+            // stay and the watcher restores the new file once.
+            let rotated = std::fs::read(shared.checkpoint_dir.join(CHECKPOINT_FILE)).ok();
             let generation = {
                 let mut current = shared.current();
-                if let Some((bytes, model)) = rotated {
+                if let Some(bytes) = rotated {
                     current.blob = bytes;
-                    current.model = Arc::new(model);
-                    shared.failed_reload.store(0, Ordering::SeqCst);
                 }
-                current.train = train;
+                current.model = Arc::new(outcome.model);
                 shared.generation.fetch_add(1, Ordering::SeqCst) + 1
             };
+            shared.failed_reload.store(0, Ordering::SeqCst);
             shared.counters.appends.fetch_add(1, Ordering::SeqCst);
             trace.counter(names::APPEND, generation, outcome.appended_rows as u64);
             Outcome {

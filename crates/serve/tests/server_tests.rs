@@ -525,29 +525,59 @@ fn post_append_grows_the_served_table_and_swaps_the_generation() {
     let bad = client::request(&running.addr, "POST", "/append", b"x,y\n1,2\n").unwrap();
     assert_eq!(bad.status, 400, "{:?}", String::from_utf8_lossy(&bad.body));
 
-    // Two rows in the served schema, one hole each.
-    let res = client::request(&running.addr, "POST", "/append", b"a,b\na1,\n,b2\n").unwrap();
-    assert_eq!(res.status, 200, "{:?}", String::from_utf8_lossy(&res.body));
-    let grown = read_csv_str(std::str::from_utf8(&res.body).unwrap()).unwrap();
-    assert_eq!(grown.n_rows(), dirty.n_rows() + 2);
-    assert_eq!(grown.n_missing(), 0, "the appended holes are filled");
+    // Two appends of two rows in the served schema, one hole each, no new
+    // values. Each swaps in the model its fine-tune returned, and that
+    // model answers an /impute of its grown table with the append's body.
+    let mut served = dirty.clone();
+    for (k, delta) in ["a,b\na1,\n,b2\n", "a,b\n,b0\na2,\n"]
+        .into_iter()
+        .enumerate()
+    {
+        let res = client::request(&running.addr, "POST", "/append", delta.as_bytes()).unwrap();
+        assert_eq!(res.status, 200, "{:?}", String::from_utf8_lossy(&res.body));
+        let imputed = read_csv_str(std::str::from_utf8(&res.body).unwrap()).unwrap();
+        let rows = grimp::table_to_wal_rows(&read_csv_str(delta).unwrap());
+        served = grimp::grow_table(&served, &rows).unwrap().0;
+        assert_eq!(imputed.n_rows(), dirty.n_rows() + 2 * (k + 1));
+        assert_eq!(imputed.n_missing(), 0, "the appended holes are filled");
 
-    // The served generation moved to the grown table and its checkpoint.
+        let body = to_csv_string(&served);
+        assert_eq!(
+            read_csv_str(&body).unwrap(),
+            served,
+            "the grown table survives the CSV round trip, so /impute sees the training table"
+        );
+        let again = client::impute(&running.addr, &body).unwrap();
+        assert_eq!(
+            again.status,
+            200,
+            "{:?}",
+            String::from_utf8_lossy(&again.body)
+        );
+        assert_eq!(
+            again.body, res.body,
+            "append {k}: /impute of the grown table"
+        );
+    }
+
+    // The served generation moved once per append, and nothing reloaded.
     let stats = client::request(&running.addr, "GET", "/stats", b"").unwrap();
     let body = String::from_utf8(stats.body).unwrap();
-    assert!(body.contains("\"appends\":1"), "{body}");
-    assert!(!body.contains("\"generation\":0"), "{body}");
-
-    // The grown table round-trips through the swapped replica.
-    let res = client::impute(&running.addr, &to_csv_string(&grown)).unwrap();
-    assert_eq!(res.status, 200, "{:?}", String::from_utf8_lossy(&res.body));
+    assert!(body.contains("\"appends\":2"), "{body}");
+    assert!(body.contains("\"reloads\":0"), "{body}");
+    assert!(body.contains("\"generation\":2"), "{body}");
 
     // The first poll comes 20–25 ms after start; the requests above can
     // finish sooner than that.
     running.await_reload_poll();
     let (report, trace) = running.stop();
     assert!(report.clean);
-    assert_eq!(report.appends, 1);
+    assert_eq!((report.appends, report.reloads), (2, 0));
+    assert_eq!(
+        restores(&trace),
+        1,
+        "only the bind builds a model by restore"
+    );
     assert!(
         dir.join(grimp::WAL_APPLIED_FILE).exists(),
         "the append rotated its WAL"

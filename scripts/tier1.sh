@@ -135,7 +135,8 @@ echo "==> serve suite (fault matrix against a live server + real-binary drain/re
 cargo test -q -p grimp-serve
 cargo test -q -p grimp-cli --test serve_integration
 
-echo "==> serve smoke (real binary: fit, serve over HTTP, impute, SIGTERM drain, exit 0)"
+echo "==> serve smoke (real binary: fit, serve over HTTP, impute, append, SIGTERM drain,"
+echo "    exit 0; the append's generation is the model its fine-tune built, not a restore)"
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 printf 'city,country\nParis,France\nRome,Italy\nParis,\nRome,\nParis,France\nMadrid,Spain\nMadrid,\nRome,Italy\n' \
@@ -163,12 +164,29 @@ printf '%s' "$RESPONSE" | head -1 | grep -q "200" \
     || { echo "serve smoke: impute did not return 200"; echo "$RESPONSE"; exit 1; }
 printf '%s' "$RESPONSE" | grep -q "Paris," \
     || { echo "serve smoke: response body is not the imputed CSV"; echo "$RESPONSE"; exit 1; }
+smoke_request() { # $1 = method, $2 = path, $3 = body; prints the HTTP response
+    printf '%s %s HTTP/1.1\r\nHost: grimp\r\nContent-Length: %s\r\nConnection: close\r\n\r\n%s' \
+        "$1" "$2" "${#3}" "$3" | timeout 60 bash -c \
+        "exec 3<>/dev/tcp/$SERVE_HOST/$SERVE_PORT; cat >&3; cat <&3"
+}
+APPENDED="$(smoke_request POST /append 'city,country
+Rome,')"
+printf '%s' "$APPENDED" | head -1 | grep -q " 200 " \
+    || { echo "serve smoke: append of seen values did not return 200"; echo "$APPENDED"; exit 1; }
+STATS="$(smoke_request GET /stats '')"
+for want in '"appends":1' '"reloads":0' '"generation":1'; do
+    printf '%s' "$STATS" | grep -q "$want" \
+        || { echo "serve smoke: /stats lacks $want after one append"; echo "$STATS"; exit 1; }
+done
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "serve smoke: SIGTERM drain exited non-zero"; exit 1; }
 grep -q "drained clean" "$SMOKE_DIR/serve.log" \
     || { echo "serve smoke: no clean-drain summary"; cat "$SMOKE_DIR/serve.log"; exit 1; }
 grep -q '"name":"drain_end"' "$SMOKE_DIR/trace.jsonl" \
     || { echo "serve smoke: trace missing drain_end"; exit 1; }
+FIT_SPANS="$(grep -c '"kind":"span_exit","name":"fit"' "$SMOKE_DIR/trace.jsonl" || true)"
+test "$FIT_SPANS" -eq 1 \
+    || { echo "serve smoke: $FIT_SPANS model builds in the trace, want 1 (the bind's restore)"; exit 1; }
 
 echo "==> supervised serve gate (real binary: kill -9 the serving child mid-traffic;"
 echo "    the supervisor respawns it and a keyed append replays idempotently)"
